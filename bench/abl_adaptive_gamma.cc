@@ -36,23 +36,7 @@ DriftResult RunDrift(bool adaptive, uint64_t fixed_gamma, uint64_t windows,
       bench::Unwrap(sim::BuildSystem(config, &network, &clock, 0), "build");
   system.root->SetResultCallback([](const sim::WindowOutput&) {});
 
-  auto pump = [&] {
-    bool progress = true;
-    while (progress) {
-      progress = false;
-      while (auto msg = network.Inbox(system.root_id)->TryPop()) {
-        bench::UnwrapStatus(system.root->OnMessage(*msg), "root message");
-        progress = true;
-      }
-      for (size_t i = 0; i < system.locals.size(); ++i) {
-        while (auto msg = network.Inbox(system.local_ids[i])->TryPop()) {
-          bench::UnwrapStatus(system.locals[i]->OnMessage(*msg), "local message");
-          progress = true;
-        }
-      }
-    }
-  };
-
+  sim::BusyTime busy;
   for (uint64_t w = 0; w < windows; ++w) {
     double rate = phase_rates[(w * phase_rates.size()) / windows];
     TimestampUs start = static_cast<TimestampUs>(w) * config.window_len_us;
@@ -70,7 +54,7 @@ DriftResult RunDrift(bool adaptive, uint64_t fixed_gamma, uint64_t windows,
       bench::UnwrapStatus(
           system.locals[i]->OnWatermark(start + config.window_len_us), "watermark");
     }
-    pump();
+    bench::UnwrapStatus(sim::PumpUntilQuiet(&network, &system, &busy), "pump");
   }
 
   DriftResult result;

@@ -16,7 +16,7 @@
 #include "dema/adaptive_gamma.h"
 #include "dema/root_node.h"
 #include "gen/generator.h"
-#include "sim/topology.h"
+#include "sim/driver.h"
 
 using namespace dema;
 
@@ -55,25 +55,7 @@ int main() {
   root->SetResultCallback(
       [&](const sim::WindowOutput& out) { outputs.push_back(out); });
 
-  auto pump = [&] {
-    bool progress = true;
-    while (progress) {
-      progress = false;
-      while (auto msg = network.Inbox(system.root_id)->TryPop()) {
-        Status st = system.root->OnMessage(*msg);
-        if (!st.ok()) std::cerr << "root: " << st << "\n";
-        progress = true;
-      }
-      for (size_t i = 0; i < system.locals.size(); ++i) {
-        while (auto msg = network.Inbox(system.local_ids[i])->TryPop()) {
-          Status st = system.locals[i]->OnMessage(*msg);
-          if (!st.ok()) std::cerr << "local: " << st << "\n";
-          progress = true;
-        }
-      }
-    }
-  };
-
+  sim::BusyTime busy;
   for (uint64_t w = 0; w < kWindows; ++w) {
     double rate = RateForWindow(w);
     TimestampUs start = static_cast<TimestampUs>(w) * config.window_len_us;
@@ -98,7 +80,11 @@ int main() {
       }
       (void)system.locals[i]->OnWatermark(start + config.window_len_us);
     }
-    pump();
+    Status st = sim::PumpUntilQuiet(&network, &system, &busy);
+    if (!st.ok()) {
+      std::cerr << "pump: " << st << "\n";
+      return 1;
+    }
 
     const auto& stats = root->stats();
     (void)table.AddRow(

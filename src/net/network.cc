@@ -341,6 +341,9 @@ void Network::EnqueueEventLocked(Message m, uint64_t extra_delay_us) {
     double us = options_.link_model.TransferTimeUs(m.WireBytes());
     first_hop_us = us < 1.0 ? 1 : static_cast<uint64_t>(us);
   }
+  if (extra_delay_us == 0) {
+    ev.flow_seq = flows_[MakeKey(m.src, m.dst)].next_enqueued++;
+  }
   ev.msg = std::move(m);
   events_.Push(ev.hop_start_us + first_hop_us, std::move(ev));
 }
@@ -384,23 +387,19 @@ uint64_t Network::AdvanceEvents() {
           continue;
         }
       }
-      // Final hop: the *delivery-time* fault state decides, exactly like the
-      // inline path's delayed-redelivery checks.
-      Message& m = ev.msg;
-      if (down_.count(m.src) || down_.count(m.dst)) {
-        CountDropLocked("node_down");
+      if (ev.flow_seq == 0) {
+        FinalHopLocked(std::move(ev.msg), &deliver);
         continue;
       }
-      if (partitions_.count(MakeKey(m.src, m.dst))) {
-        CountDropLocked("partition");
-        continue;
+      // Release in flow order: this message, once every earlier one of its
+      // flow arrived, then any later ones that were waiting on it.
+      FlowOrder& flow = flows_[MakeKey(ev.msg.src, ev.msg.dst)];
+      flow.held.emplace(ev.flow_seq, std::move(ev.msg));
+      for (auto next = flow.held.begin();
+           next != flow.held.end() && next->first == flow.next_delivered;
+           next = flow.held.erase(next), ++flow.next_delivered) {
+        FinalHopLocked(std::move(next->second), &deliver);
       }
-      auto it = inboxes_.find(m.dst);
-      if (it == inboxes_.end()) {
-        CountDropLocked("unknown_dest");
-        continue;
-      }
-      deliver.emplace_back(it->second.get(), std::move(m));
     }
   }
   // Push outside the lock, mirroring the inline path.
@@ -412,6 +411,26 @@ uint64_t Network::AdvanceEvents() {
     for (uint64_t i = 0; i < closed; ++i) CountDropLocked("closed_inbox");
   }
   return processed;
+}
+
+void Network::FinalHopLocked(
+    Message m, std::vector<std::pair<Channel*, Message>>* deliver) {
+  // The *delivery-time* fault state decides, exactly like the inline path's
+  // delayed-redelivery checks.
+  if (down_.count(m.src) || down_.count(m.dst)) {
+    CountDropLocked("node_down");
+    return;
+  }
+  if (partitions_.count(MakeKey(m.src, m.dst))) {
+    CountDropLocked("partition");
+    return;
+  }
+  auto it = inboxes_.find(m.dst);
+  if (it == inboxes_.end()) {
+    CountDropLocked("unknown_dest");
+    return;
+  }
+  deliver->emplace_back(it->second.get(), std::move(m));
 }
 
 size_t Network::pending_events() const {

@@ -65,6 +65,9 @@ class Network : public transport::Transport {
     /// event transforms here (drop/corrupt suppress the event, duplicate
     /// enqueues a second one, delay shifts the due time, and partition /
     /// node-down / unknown-destination are re-checked at delivery time).
+    /// Each (src, dst) flow delivers in send order, as inline mode does: a
+    /// small message whose hops finish first waits for the larger ones sent
+    /// before it. Only fault-delayed messages step out of that order.
     /// Single-threaded drivers only.
     kEvent,
   };
@@ -309,10 +312,28 @@ class Network : public transport::Transport {
     uint32_t next_hop = 0;
     /// Virtual time the current hop started (for per-hop latency).
     uint64_t hop_start_us = 0;
+    /// Position in its (src, dst) flow's delivery order (1-based); 0 for a
+    /// fault-delayed message, which may be overtaken.
+    uint64_t flow_seq = 0;
+  };
+
+  /// Delivery order of one (src, dst) flow in event mode: like a TCP
+  /// connection, a message never reaches the inbox before one its sender sent
+  /// earlier, even when its smaller size makes its hops shorter.
+  struct FlowOrder {
+    uint64_t next_enqueued = 1;
+    uint64_t next_delivered = 1;
+    /// Final hops that arrived ahead of an earlier message, by flow_seq.
+    std::map<uint64_t, Message> held;
   };
 
   /// Schedules \p m's first hop \p extra_delay_us past now (mu_ held).
   void EnqueueEventLocked(Message m, uint64_t extra_delay_us);
+
+  /// Final hop of \p m: drops it on a down node, partition or unknown
+  /// destination, else queues it for its inbox in \p deliver (mu_ held).
+  void FinalHopLocked(Message m,
+                      std::vector<std::pair<Channel*, Message>>* deliver);
 
   /// Per-tier hop latency histogram, created on first use (mu_ held).
   obs::Histogram* HopHistogramLocked(tick::LinkTier tier);
@@ -358,6 +379,8 @@ class Network : public transport::Transport {
   std::multimap<uint64_t, Message> delayed_;
   /// Central virtual-time event queue (event-driven mode).
   tick::TickQueue<HopEvent> events_;
+  /// Per-(src, dst) delivery order (event-driven mode).
+  std::map<LinkKey, FlowOrder> flows_;
   obs::Counter* c_sim_ticks_;
   obs::Counter* c_sim_events_;
   /// Lazily-created `sim.hop_latency_us{tier=...}` histograms by tier.

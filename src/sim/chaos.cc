@@ -344,33 +344,8 @@ Result<ChaosReport> RunChaos(const SystemConfig& system_config,
   /// are lost at the source and excluded).
   std::vector<std::vector<double>> fed(num_windows);
 
-  // Single-threaded pump to quiescence: root first, then locals, releasing
-  // delayed fabric messages only once every inbox drained (quiescence means
-  // the injected delay has "elapsed").
-  auto pump_all = [&]() -> Status {
-    bool progress = true;
-    while (progress) {
-      progress = false;
-      net::Channel* root_inbox = network.Inbox(system.root_id);
-      while (auto msg = root_inbox->TryPop()) {
-        DEMA_RETURN_NOT_OK(system.root->OnMessage(*msg));
-        progress = true;
-      }
-      for (size_t i = 0; i < system.locals.size(); ++i) {
-        if (slots[i].down) continue;
-        net::Channel* inbox = network.Inbox(system.local_ids[i]);
-        while (auto msg = inbox->TryPop()) {
-          DEMA_RETURN_NOT_OK(system.locals[i]->OnMessage(*msg));
-          progress = true;
-        }
-      }
-      if (!progress && network.delayed_in_flight() > 0) {
-        progress = network.FlushDelayed() > 0;
-      }
-    }
-    return Status::OK();
-  };
-
+  // Crashed slots are null in `system.locals`, so the pump skips them.
+  BusyTime busy;
   auto restart_local = [&](size_t slot_index) -> Status {
     NodeId id = system.local_ids[slot_index];
     DEMA_ASSIGN_OR_RETURN(auto logic,
@@ -460,9 +435,9 @@ Result<ChaosReport> RunChaos(const SystemConfig& system_config,
       if (slots[i].down) continue;
       DEMA_RETURN_NOT_OK(system.locals[i]->OnWatermark(end));
     }
-    DEMA_RETURN_NOT_OK(pump_all());
+    DEMA_RETURN_NOT_OK(PumpUntilQuiet(&network, &system, &busy));
     DEMA_RETURN_NOT_OK(system.root->Tick());
-    DEMA_RETURN_NOT_OK(pump_all());
+    DEMA_RETURN_NOT_OK(PumpUntilQuiet(&network, &system, &busy));
   }
 
   TimestampUs final_ts = static_cast<TimestampUs>(num_windows) * window_len;
@@ -478,7 +453,7 @@ Result<ChaosReport> RunChaos(const SystemConfig& system_config,
       plan.deadline_ticks * (uint64_t{2} << std::min<uint32_t>(plan.max_retries, 32)) +
       plan.deadline_ticks + 64;
   for (uint64_t i = 0; i < max_drain_ticks; ++i) {
-    DEMA_RETURN_NOT_OK(pump_all());
+    DEMA_RETURN_NOT_OK(PumpUntilQuiet(&network, &system, &busy));
     if (system.root->idle() && network.delayed_in_flight() == 0) break;
     DEMA_RETURN_NOT_OK(system.root->Tick());
   }

@@ -32,6 +32,72 @@ WorkloadConfig MakeUniformWorkload(size_t num_locals, uint64_t num_windows,
 }
 
 // ---------------------------------------------------------------------------
+// The quiescence pump
+// ---------------------------------------------------------------------------
+
+double BusyTime::max_local_us() const {
+  double max_us = 0;
+  for (double b : local_us) max_us = std::max(max_us, b);
+  return max_us;
+}
+
+double BusyTime::SimThroughputEps(uint64_t events) const {
+  double bottleneck_seconds = std::max(root_us / 1e6, max_local_us() / 1e6);
+  return bottleneck_seconds > 0
+             ? static_cast<double>(events) / bottleneck_seconds
+             : 0;
+}
+
+namespace {
+/// Hands every message queued in \p id's inbox to \p node, charging
+/// \p busy_us; sets \p progress when it handled any.
+Status DrainInbox(net::Network* network, NodeId id, NodeLogic* node,
+                  double* busy_us, bool* progress) {
+  net::Channel* inbox = network->Inbox(id);
+  while (auto msg = inbox->TryPop()) {
+    DEMA_RETURN_NOT_OK(
+        ChargeBusy(busy_us, [&] { return node->OnMessage(*msg); }));
+    *progress = true;
+  }
+  return Status::OK();
+}
+}  // namespace
+
+Status PumpUntilQuiet(net::Network* network, System* system, BusyTime* busy) {
+  busy->relay_us.resize(system->relays.size(), 0.0);
+  busy->local_us.resize(system->locals.size(), 0.0);
+  bool progress = true;
+  while (progress) {
+    progress = false;
+    DEMA_RETURN_NOT_OK(DrainInbox(network, system->root_id, system->root.get(),
+                                  &busy->root_us, &progress));
+    for (size_t i = 0; i < system->relays.size(); ++i) {
+      DEMA_RETURN_NOT_OK(DrainInbox(network, system->relay_ids[i],
+                                    system->relays[i].get(),
+                                    &busy->relay_us[i], &progress));
+    }
+    for (size_t i = 0; i < system->locals.size(); ++i) {
+      if (system->locals[i] == nullptr) continue;
+      DEMA_RETURN_NOT_OK(DrainInbox(network, system->local_ids[i],
+                                    system->locals[i].get(),
+                                    &busy->local_us[i], &progress));
+    }
+    if (!progress) {
+      if (network->pending_events() > 0) {
+        // Event-driven delivery: every inbox drained, so advance virtual
+        // time to the next tick and process its due hop events.
+        progress = network->AdvanceEvents() > 0;
+      } else if (network->delayed_in_flight() > 0) {
+        // Every inbox drained but the fabric still holds delayed messages:
+        // quiescence means the delay has "elapsed", so release them.
+        progress = network->FlushDelayed() > 0;
+      }
+    }
+  }
+  return Status::OK();
+}
+
+// ---------------------------------------------------------------------------
 // SyncDriver
 // ---------------------------------------------------------------------------
 
@@ -40,121 +106,26 @@ SyncDriver::SyncDriver(System* system, net::Network* network, const Clock* clock
   (void)clock_;
 }
 
-namespace {
-/// Microseconds spent in \p fn, measured on the monotonic clock.
-template <typename Fn>
-double TimedUs(Fn&& fn, Status* st) {
-  auto start = std::chrono::steady_clock::now();
-  *st = fn();
-  auto end = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::micro>(end - start).count();
-}
-}  // namespace
-
-Status SyncDriver::PumpMessages() {
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    net::Channel* root_inbox = network_->Inbox(system_->root_id);
-    while (auto msg = root_inbox->TryPop()) {
-      Status st;
-      root_busy_us_ += TimedUs([&] { return system_->root->OnMessage(*msg); }, &st);
-      DEMA_RETURN_NOT_OK(st);
-      progress = true;
-    }
-    for (size_t i = 0; i < system_->locals.size(); ++i) {
-      net::Channel* inbox = network_->Inbox(system_->local_ids[i]);
-      while (auto msg = inbox->TryPop()) {
-        Status st;
-        local_busy_us_[i] +=
-            TimedUs([&] { return system_->locals[i]->OnMessage(*msg); }, &st);
-        DEMA_RETURN_NOT_OK(st);
-        progress = true;
-      }
-    }
-    if (!progress) {
-      if (network_->pending_events() > 0) {
-        // Event-driven delivery: every inbox drained, so advance virtual
-        // time to the next tick and process its due hop events.
-        progress = network_->AdvanceEvents() > 0;
-      } else if (network_->delayed_in_flight() > 0) {
-        // Every inbox drained but the fabric still holds delayed messages:
-        // quiescence means the delay has "elapsed", so release them.
-        progress = network_->FlushDelayed() > 0;
-      }
-    }
-  }
-  return Status::OK();
-}
-
-double SyncDriver::max_local_busy_seconds() const {
-  double max_us = 0;
-  for (double b : local_busy_us_) max_us = std::max(max_us, b);
-  return max_us / 1e6;
-}
-
 Status SyncDriver::Run(const WorkloadConfig& workload) {
   if (workload.generators.size() != system_->locals.size()) {
     return Status::InvalidArgument("generator count != local node count");
   }
-  if (workload.max_disorder_us > 0) return RunDisordered(workload);
-  std::vector<std::unique_ptr<gen::StreamGenerator>> gens;
-  for (const auto& cfg : workload.generators) {
-    DEMA_ASSIGN_OR_RETURN(auto g, gen::StreamGenerator::Create(cfg));
-    gens.push_back(std::move(g));
-  }
   system_->root->SetResultCallback(
       [this](const WindowOutput& out) { outputs_.push_back(out); });
-
+  busy_ = BusyTime{};
+  busy_.local_us.assign(system_->locals.size(), 0.0);
   if (record_events_) recorded_.assign(workload.num_windows, {});
-  local_busy_us_.assign(system_->locals.size(), 0.0);
-  root_busy_us_ = 0;
+  DEMA_RETURN_NOT_OK(workload.max_disorder_us > 0 ? FeedDisordered(workload)
+                                                  : FeedOrdered(workload));
 
-  for (uint64_t w = 0; w < workload.num_windows; ++w) {
-    TimestampUs start = static_cast<TimestampUs>(w) * workload.window_len_us;
-    TimestampUs end = start + workload.window_len_us;
-    for (size_t i = 0; i < gens.size(); ++i) {
-      std::vector<Event> events =
-          gens[i]->GenerateWindow(start, workload.window_len_us);
-      Status st;
-      local_busy_us_[i] += TimedUs(
-          [&]() -> Status {
-            for (const Event& e : events) {
-              DEMA_RETURN_NOT_OK(system_->locals[i]->OnEvent(e));
-            }
-            return Status::OK();
-          },
-          &st);
-      DEMA_RETURN_NOT_OK(st);
-      events_ingested_ += events.size();
-      if (record_events_) {
-        auto& rec = recorded_[w];
-        rec.insert(rec.end(), events.begin(), events.end());
-      }
-    }
-    for (size_t i = 0; i < system_->locals.size(); ++i) {
-      Status st;
-      local_busy_us_[i] +=
-          TimedUs([&] { return system_->locals[i]->OnWatermark(end); }, &st);
-      DEMA_RETURN_NOT_OK(st);
-    }
-    // Outside TimedUs: waiting for the worker pool is driver synchronization
-    // (keeps threaded message sequences identical to inline runs), not node
-    // busy time — a real ingest thread keeps ingesting while the pool sorts.
-    for (size_t i = 0; i < system_->locals.size(); ++i) {
-      DEMA_RETURN_NOT_OK(system_->locals[i]->Quiesce());
-    }
-    DEMA_RETURN_NOT_OK(PumpMessages());
-  }
-  TimestampUs final_ts =
+  const TimestampUs horizon =
       static_cast<TimestampUs>(workload.num_windows) * workload.window_len_us;
   for (size_t i = 0; i < system_->locals.size(); ++i) {
-    Status st;
-    local_busy_us_[i] +=
-        TimedUs([&] { return system_->locals[i]->OnFinish(final_ts); }, &st);
-    DEMA_RETURN_NOT_OK(st);
+    DEMA_RETURN_NOT_OK(ChargeBusy(&busy_.local_us[i], [&] {
+      return system_->locals[i]->OnFinish(horizon);
+    }));
   }
-  DEMA_RETURN_NOT_OK(PumpMessages());
+  DEMA_RETURN_NOT_OK(PumpUntilQuiet(network_, system_, &busy_));
 
   if (system_->root->windows_emitted() != workload.ExpectedWindows()) {
     return Status::Internal(
@@ -164,21 +135,66 @@ Status SyncDriver::Run(const WorkloadConfig& workload) {
   if (!system_->root->idle()) {
     return Status::Internal("root still has pending windows after run");
   }
+  for (const auto& relay : system_->relays) {
+    if (relay->pending_windows() != 0) {
+      return Status::Internal("relay still has pending windows after run");
+    }
+  }
   return Status::OK();
 }
 
-Status SyncDriver::RunDisordered(const WorkloadConfig& workload) {
+Status SyncDriver::QuiesceAndPump() {
+  // Outside ChargeBusy: waiting for the worker pool is driver synchronization
+  // (keeps threaded message sequences identical to inline runs), not node
+  // busy time — a real ingest thread keeps ingesting while the pool sorts.
+  for (const auto& local : system_->locals) {
+    DEMA_RETURN_NOT_OK(local->Quiesce());
+  }
+  return PumpUntilQuiet(network_, system_, &busy_);
+}
+
+Status SyncDriver::FeedOrdered(const WorkloadConfig& workload) {
+  std::vector<std::unique_ptr<gen::StreamGenerator>> gens;
+  for (const auto& cfg : workload.generators) {
+    DEMA_ASSIGN_OR_RETURN(auto g, gen::StreamGenerator::Create(cfg));
+    gens.push_back(std::move(g));
+  }
+
+  for (uint64_t w = 0; w < workload.num_windows; ++w) {
+    TimestampUs start = static_cast<TimestampUs>(w) * workload.window_len_us;
+    TimestampUs end = start + workload.window_len_us;
+    for (size_t i = 0; i < gens.size(); ++i) {
+      std::vector<Event> events =
+          gens[i]->GenerateWindow(start, workload.window_len_us);
+      DEMA_RETURN_NOT_OK(ChargeBusy(&busy_.local_us[i], [&]() -> Status {
+        for (const Event& e : events) {
+          DEMA_RETURN_NOT_OK(system_->locals[i]->OnEvent(e));
+        }
+        return Status::OK();
+      }));
+      events_ingested_ += events.size();
+      if (record_events_) {
+        auto& rec = recorded_[w];
+        rec.insert(rec.end(), events.begin(), events.end());
+      }
+    }
+    for (size_t i = 0; i < system_->locals.size(); ++i) {
+      DEMA_RETURN_NOT_OK(ChargeBusy(&busy_.local_us[i], [&] {
+        return system_->locals[i]->OnWatermark(end);
+      }));
+    }
+    DEMA_RETURN_NOT_OK(QuiesceAndPump());
+  }
+  return Status::OK();
+}
+
+Status SyncDriver::FeedDisordered(const WorkloadConfig& workload) {
   // Bounded-disorder mode: every node's stream is shuffled within
   // max_disorder_us of event time and watermarks are held back by the
   // allowed lateness. Chunked round-robin processing keeps nodes loosely in
   // step, as concurrent execution would.
   const TimestampUs horizon =
       static_cast<TimestampUs>(workload.num_windows) * workload.window_len_us;
-  system_->root->SetResultCallback(
-      [this](const WindowOutput& out) { outputs_.push_back(out); });
-  local_busy_us_.assign(system_->locals.size(), 0.0);
-  root_busy_us_ = 0;
-  if (record_events_) recorded_.assign(workload.num_windows, {});
 
   std::vector<std::vector<Event>> streams;
   for (size_t i = 0; i < workload.generators.size(); ++i) {
@@ -206,44 +222,21 @@ Status SyncDriver::RunDisordered(const WorkloadConfig& workload) {
       size_t end = std::min(streams[i].size(), pos[i] + kChunk);
       if (pos[i] >= end) continue;
       remaining = true;
-      Status st;
-      local_busy_us_[i] += TimedUs(
-          [&]() -> Status {
-            for (; pos[i] < end; ++pos[i]) {
-              const Event& e = streams[i][pos[i]];
-              max_ts[i] = std::max(max_ts[i], e.timestamp);
-              DEMA_RETURN_NOT_OK(system_->locals[i]->OnEvent(e));
-            }
-            TimestampUs held_back =
-                max_ts[i] > workload.allowed_lateness_us
-                    ? max_ts[i] - workload.allowed_lateness_us
-                    : 0;
-            return system_->locals[i]->OnWatermark(held_back);
-          },
-          &st);
-      DEMA_RETURN_NOT_OK(st);
-      events_ingested_ += end > 0 ? 0 : 0;
+      DEMA_RETURN_NOT_OK(ChargeBusy(&busy_.local_us[i], [&]() -> Status {
+        for (; pos[i] < end; ++pos[i]) {
+          const Event& e = streams[i][pos[i]];
+          max_ts[i] = std::max(max_ts[i], e.timestamp);
+          DEMA_RETURN_NOT_OK(system_->locals[i]->OnEvent(e));
+        }
+        TimestampUs held_back = max_ts[i] > workload.allowed_lateness_us
+                                    ? max_ts[i] - workload.allowed_lateness_us
+                                    : 0;
+        return system_->locals[i]->OnWatermark(held_back);
+      }));
     }
-    DEMA_RETURN_NOT_OK(PumpMessages());
+    DEMA_RETURN_NOT_OK(QuiesceAndPump());
   }
   for (const auto& stream : streams) events_ingested_ += stream.size();
-
-  for (size_t i = 0; i < system_->locals.size(); ++i) {
-    Status st;
-    local_busy_us_[i] +=
-        TimedUs([&] { return system_->locals[i]->OnFinish(horizon); }, &st);
-    DEMA_RETURN_NOT_OK(st);
-  }
-  DEMA_RETURN_NOT_OK(PumpMessages());
-
-  if (system_->root->windows_emitted() != workload.ExpectedWindows()) {
-    return Status::Internal(
-        "root emitted " + std::to_string(system_->root->windows_emitted()) +
-        " windows, expected " + std::to_string(workload.ExpectedWindows()));
-  }
-  if (!system_->root->idle()) {
-    return Status::Internal("root still has pending windows after run");
-  }
   return Status::OK();
 }
 
@@ -454,6 +447,42 @@ struct RunObs {
 };
 }  // namespace
 
+RunMetrics SummarizeSyncRun(const std::vector<WindowOutput>& outputs,
+                            uint64_t events, double wall_seconds,
+                            net::Network* network, const System& system,
+                            const BusyTime& busy) {
+  RunMetrics metrics;
+  metrics.events_ingested = events;
+  metrics.windows_emitted = system.root->windows_emitted();
+  metrics.wall_seconds = wall_seconds;
+  metrics.throughput_eps =
+      wall_seconds > 0 ? static_cast<double>(events) / wall_seconds : 0;
+  LatencyRecorder latency;
+  obs::Histogram* latency_hist =
+      network->registry()->GetHistogram("root.window_latency_us");
+  for (const WindowOutput& out : outputs) {
+    latency.Record(out.latency_us);
+    latency_hist->Record(
+        out.latency_us < 0 ? 0 : static_cast<uint64_t>(out.latency_us));
+  }
+  metrics.latency = latency.Summarize();
+  metrics.latency_hist = latency_hist->Summarize();
+  auto total = network->TotalStats();
+  metrics.network_total = total.counters;
+  metrics.simulated_transfer_us = total.simulated_transfer_us;
+  metrics.by_type = network->StatsByType();
+  if (auto* dema_root = dynamic_cast<core::DemaRootNode*>(system.root.get())) {
+    metrics.dema = dema_root->stats();
+  }
+  metrics.root_busy_seconds = busy.root_us / 1e6;
+  metrics.max_local_busy_seconds = busy.max_local_us() / 1e6;
+  metrics.sim_throughput_eps = busy.SimThroughputEps(events);
+  metrics.bottleneck =
+      metrics.root_busy_seconds >= metrics.max_local_busy_seconds ? "root"
+                                                                  : "local";
+  return metrics;
+}
+
 Result<RunMetrics> RunThreaded(const SystemConfig& system_config,
                                const WorkloadConfig& workload,
                                size_t root_inbox_capacity) {
@@ -495,43 +524,10 @@ Result<RunMetrics> RunSync(const SystemConfig& system_config,
   DEMA_RETURN_NOT_OK(driver.Run(load));
   auto wall_end = std::chrono::steady_clock::now();
 
-  RunMetrics metrics;
-  metrics.events_ingested = driver.events_ingested();
-  metrics.windows_emitted = system.root->windows_emitted();
-  metrics.wall_seconds =
-      std::chrono::duration<double>(wall_end - wall_start).count();
-  metrics.throughput_eps =
-      metrics.wall_seconds > 0
-          ? static_cast<double>(metrics.events_ingested) / metrics.wall_seconds
-          : 0;
-  LatencyRecorder latency;
-  obs::Histogram* latency_hist =
-      config.registry->GetHistogram("root.window_latency_us");
-  for (const WindowOutput& out : driver.outputs()) {
-    latency.Record(out.latency_us);
-    latency_hist->Record(
-        out.latency_us < 0 ? 0 : static_cast<uint64_t>(out.latency_us));
-  }
-  metrics.latency = latency.Summarize();
-  metrics.latency_hist = latency_hist->Summarize();
-  auto total = network.TotalStats();
-  metrics.network_total = total.counters;
-  metrics.simulated_transfer_us = total.simulated_transfer_us;
-  metrics.by_type = network.StatsByType();
-  if (auto* dema_root = dynamic_cast<core::DemaRootNode*>(system.root.get())) {
-    metrics.dema = dema_root->stats();
-  }
-  metrics.root_busy_seconds = driver.root_busy_seconds();
-  metrics.max_local_busy_seconds = driver.max_local_busy_seconds();
-  double bottleneck_seconds =
-      std::max(metrics.root_busy_seconds, metrics.max_local_busy_seconds);
-  metrics.sim_throughput_eps =
-      bottleneck_seconds > 0
-          ? static_cast<double>(metrics.events_ingested) / bottleneck_seconds
-          : 0;
-  metrics.bottleneck =
-      metrics.root_busy_seconds >= metrics.max_local_busy_seconds ? "root"
-                                                                  : "local";
+  RunMetrics metrics = SummarizeSyncRun(
+      driver.outputs(), driver.events_ingested(),
+      std::chrono::duration<double>(wall_end - wall_start).count(), &network,
+      system, driver.busy());
   metrics.registry = run_obs.registry;
   metrics.tracer = run_obs.tracer;
   return metrics;

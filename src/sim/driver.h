@@ -1,5 +1,6 @@
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -55,12 +56,52 @@ WorkloadConfig MakeUniformWorkload(size_t num_locals, uint64_t num_windows,
                                    const std::vector<double>& scale_rates = {},
                                    uint64_t seed_base = 1000);
 
-/// \brief Deterministic single-threaded driver (tests, accuracy experiments,
-/// network-cost accounting).
+/// \brief Per-node busy time of a single-threaded run: the work each node
+/// performed on its own simulated "CPU". `relay_us` and `local_us` are
+/// parallel to `System::relays` and `System::locals`.
+struct BusyTime {
+  double root_us = 0;
+  std::vector<double> relay_us;
+  std::vector<double> local_us;
+
+  /// Busy microseconds of the busiest local node.
+  double max_local_us() const;
+  /// Simulated-parallel throughput: \p events over the busy time of the
+  /// slower of the root and the busiest local (0 when neither did work).
+  double SimThroughputEps(uint64_t events) const;
+};
+
+/// \brief Runs \p fn, adds its duration on the monotonic clock to
+/// \p account_us, and returns its status.
+template <typename Fn>
+Status ChargeBusy(double* account_us, Fn&& fn) {
+  auto start = std::chrono::steady_clock::now();
+  Status st = fn();
+  auto end = std::chrono::steady_clock::now();
+  *account_us += std::chrono::duration<double, std::micro>(end - start).count();
+  return st;
+}
+
+/// \brief Delivers messages until \p system is quiescent, charging each
+/// handler call to its node in \p busy (whose vectors grow to the system's
+/// shape).
 ///
-/// Generates each window's events for every node, feeds them through the
-/// node logic, then pumps messages until the system is quiescent. All
-/// ordering is deterministic given the generator seeds.
+/// The single-threaded pump every synchronous run uses. Each pass drains the
+/// root's inbox, then every relay's, then every local's (null locals are
+/// crashed slots and are skipped). When a pass finds every inbox empty, it
+/// advances an event-delivery network by one virtual instant
+/// (`Network::AdvanceEvents`) or, on an inline network, releases
+/// fault-delayed messages (`Network::FlushDelayed`); it returns once neither
+/// has anything left to deliver. Stops at the first handler error.
+Status PumpUntilQuiet(net::Network* network, System* system, BusyTime* busy);
+
+/// \brief Deterministic single-threaded driver (tests, accuracy experiments,
+/// network-cost accounting) for flat and tree (`BuildTreeSystem`) systems.
+///
+/// Generates each window's events for every local node, feeds them through
+/// the node logic, then pumps messages until the system is quiescent
+/// (`PumpUntilQuiet`). All ordering is deterministic given the generator
+/// seeds, on inline and event-delivery networks alike.
 class SyncDriver {
  public:
   /// Wires the driver; \p system nodes must be registered on \p network.
@@ -83,20 +124,23 @@ class SyncDriver {
   /// Total events ingested.
   uint64_t events_ingested() const { return events_ingested_; }
 
+  /// Per-node busy time of the last run.
+  const BusyTime& busy() const { return busy_; }
   /// Busy seconds of local node \p i (work it performed on its own "CPU").
-  double local_busy_seconds(size_t i) const { return local_busy_us_[i] / 1e6; }
+  double local_busy_seconds(size_t i) const { return busy_.local_us[i] / 1e6; }
   /// Busy seconds of the root node.
-  double root_busy_seconds() const { return root_busy_us_ / 1e6; }
+  double root_busy_seconds() const { return busy_.root_us / 1e6; }
   /// Busy seconds of the busiest local node.
-  double max_local_busy_seconds() const;
+  double max_local_busy_seconds() const { return busy_.max_local_us() / 1e6; }
 
  private:
-  /// Dispatches queued messages until every inbox is empty, charging each
-  /// node's busy-time account.
-  Status PumpMessages();
+  /// In-order mode: each window's events, then every local's watermark.
+  Status FeedOrdered(const WorkloadConfig& workload);
   /// Out-of-order mode (max_disorder_us > 0): chunked round-robin delivery
   /// with held-back watermarks.
-  Status RunDisordered(const WorkloadConfig& workload);
+  Status FeedDisordered(const WorkloadConfig& workload);
+  /// Waits for every local's asynchronous closes, then pumps to quiescence.
+  Status QuiesceAndPump();
 
   System* system_;
   net::Network* network_;
@@ -105,8 +149,7 @@ class SyncDriver {
   std::vector<std::vector<Event>> recorded_;
   bool record_events_ = false;
   uint64_t events_ingested_ = 0;
-  std::vector<double> local_busy_us_;
-  double root_busy_us_ = 0;
+  BusyTime busy_;
 };
 
 /// \brief Options for the threaded driver.
@@ -144,6 +187,15 @@ class ThreadedDriver {
 Result<RunMetrics> RunThreaded(const SystemConfig& system_config,
                                const WorkloadConfig& workload,
                                size_t root_inbox_capacity = 1024);
+
+/// \brief The metrics every synchronous run reports, from its results: wall
+/// throughput, latency (also recorded into `root.window_latency_us` on the
+/// network's registry), network totals and per-type traffic, the busy-time
+/// throughput model with its bottleneck tier, and Dema root stats.
+RunMetrics SummarizeSyncRun(const std::vector<WindowOutput>& outputs,
+                            uint64_t events, double wall_seconds,
+                            net::Network* network, const System& system,
+                            const BusyTime& busy);
 
 /// \brief Convenience: builds the system + network and runs the synchronous
 /// driver, returning metrics with network accounting (no meaningful wall

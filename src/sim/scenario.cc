@@ -10,19 +10,6 @@
 
 namespace dema::sim {
 
-namespace {
-
-/// Microseconds spent in \p fn, measured on the monotonic clock.
-template <typename Fn>
-double TimedUs(Fn&& fn, Status* st) {
-  auto start = std::chrono::steady_clock::now();
-  *st = fn();
-  auto end = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::micro>(end - start).count();
-}
-
-}  // namespace
-
 Result<ScenarioReport> RunScenario(const SystemConfig& system_config,
                                    const WorkloadConfig& workload,
                                    const ScenarioOptions& options) {
@@ -102,39 +89,8 @@ Result<ScenarioReport> RunScenario(const SystemConfig& system_config,
   const uint64_t num_windows = workload.num_windows;
   const DurationUs window_len = config.window_len_us;
   std::vector<std::vector<double>> fed(num_windows);
-  std::vector<double> local_busy_us(system.locals.size(), 0.0);
-  double root_busy_us = 0;
-
-  // Single-threaded pump to quiescence: drain every inbox, then advance the
-  // tick queue by one virtual instant, until both are empty.
-  auto pump_all = [&]() -> Status {
-    bool progress = true;
-    while (progress) {
-      progress = false;
-      net::Channel* root_inbox = network.Inbox(system.root_id);
-      while (auto msg = root_inbox->TryPop()) {
-        Status st;
-        root_busy_us +=
-            TimedUs([&] { return system.root->OnMessage(*msg); }, &st);
-        DEMA_RETURN_NOT_OK(st);
-        progress = true;
-      }
-      for (size_t i = 0; i < system.locals.size(); ++i) {
-        net::Channel* inbox = network.Inbox(system.local_ids[i]);
-        while (auto msg = inbox->TryPop()) {
-          Status st;
-          local_busy_us[i] +=
-              TimedUs([&] { return system.locals[i]->OnMessage(*msg); }, &st);
-          DEMA_RETURN_NOT_OK(st);
-          progress = true;
-        }
-      }
-      if (!progress && network.pending_events() > 0) {
-        progress = network.AdvanceEvents() > 0;
-      }
-    }
-    return Status::OK();
-  };
+  BusyTime busy;
+  busy.local_us.assign(system.locals.size(), 0.0);
 
   auto wall_start = std::chrono::steady_clock::now();
   for (uint64_t w = 0; w < num_windows; ++w) {
@@ -142,41 +98,35 @@ Result<ScenarioReport> RunScenario(const SystemConfig& system_config,
     TimestampUs end = start + window_len;
     for (size_t i = 0; i < gens.size(); ++i) {
       std::vector<Event> events = gens[i]->GenerateWindow(start, window_len);
-      Status st;
-      local_busy_us[i] += TimedUs(
-          [&]() -> Status {
-            for (const Event& e : events) {
-              DEMA_RETURN_NOT_OK(system.locals[i]->OnEvent(e));
-            }
-            return Status::OK();
-          },
-          &st);
-      DEMA_RETURN_NOT_OK(st);
+      DEMA_RETURN_NOT_OK(ChargeBusy(&busy.local_us[i], [&]() -> Status {
+        for (const Event& e : events) {
+          DEMA_RETURN_NOT_OK(system.locals[i]->OnEvent(e));
+        }
+        return Status::OK();
+      }));
       report.events_ingested += events.size();
       if (options.check_oracle) {
         for (const Event& e : events) fed[w].push_back(e.value);
       }
     }
     for (size_t i = 0; i < system.locals.size(); ++i) {
-      Status st;
-      local_busy_us[i] +=
-          TimedUs([&] { return system.locals[i]->OnWatermark(end); }, &st);
-      DEMA_RETURN_NOT_OK(st);
+      DEMA_RETURN_NOT_OK(ChargeBusy(&busy.local_us[i], [&] {
+        return system.locals[i]->OnWatermark(end);
+      }));
     }
     for (size_t i = 0; i < system.locals.size(); ++i) {
       DEMA_RETURN_NOT_OK(system.locals[i]->Quiesce());
     }
-    DEMA_RETURN_NOT_OK(pump_all());
+    DEMA_RETURN_NOT_OK(PumpUntilQuiet(&network, &system, &busy));
     DEMA_RETURN_NOT_OK(system.root->Tick());
-    DEMA_RETURN_NOT_OK(pump_all());
+    DEMA_RETURN_NOT_OK(PumpUntilQuiet(&network, &system, &busy));
   }
 
   TimestampUs final_ts = static_cast<TimestampUs>(num_windows) * window_len;
   for (size_t i = 0; i < system.locals.size(); ++i) {
-    Status st;
-    local_busy_us[i] +=
-        TimedUs([&] { return system.locals[i]->OnFinish(final_ts); }, &st);
-    DEMA_RETURN_NOT_OK(st);
+    DEMA_RETURN_NOT_OK(ChargeBusy(&busy.local_us[i], [&] {
+      return system.locals[i]->OnFinish(final_ts);
+    }));
   }
   auto* dema_root = dynamic_cast<core::DemaRootNode*>(system.root.get());
   if (dema_root != nullptr && num_windows > 0) {
@@ -190,7 +140,7 @@ Result<ScenarioReport> RunScenario(const SystemConfig& system_config,
           (uint64_t{2} << std::min<uint32_t>(plan.max_retries, 32)) +
       plan.deadline_ticks + 64;
   for (uint64_t i = 0; i < max_drain_ticks; ++i) {
-    DEMA_RETURN_NOT_OK(pump_all());
+    DEMA_RETURN_NOT_OK(PumpUntilQuiet(&network, &system, &busy));
     if (system.root->idle() && network.pending_events() == 0) break;
     DEMA_RETURN_NOT_OK(system.root->Tick());
   }
@@ -274,16 +224,9 @@ Result<ScenarioReport> RunScenario(const SystemConfig& system_config,
       report.wall_seconds > 0
           ? static_cast<double>(report.events_ingested) / report.wall_seconds
           : 0;
-  report.root_busy_seconds = root_busy_us / 1e6;
-  double max_local_us = 0;
-  for (double b : local_busy_us) max_local_us = std::max(max_local_us, b);
-  report.max_local_busy_seconds = max_local_us / 1e6;
-  double bottleneck_seconds =
-      std::max(report.root_busy_seconds, report.max_local_busy_seconds);
-  report.sim_throughput_eps =
-      bottleneck_seconds > 0
-          ? static_cast<double>(report.events_ingested) / bottleneck_seconds
-          : 0;
+  report.root_busy_seconds = busy.root_us / 1e6;
+  report.max_local_busy_seconds = busy.max_local_us() / 1e6;
+  report.sim_throughput_eps = busy.SimThroughputEps(report.events_ingested);
   return report;
 }
 

@@ -21,6 +21,11 @@ namespace dema::sim {
 
 namespace {
 
+/// How long a root that finished its run keeps its listener open for the
+/// locals to acknowledge their `kShutdown` (1-8 ms on loopback; a local
+/// whose connection was just severed needs it to redial and get the replay).
+constexpr DurationUs kShutdownAckTimeoutUs = 5 * kMicrosPerSecond;
+
 DurationUs ElapsedUs(std::chrono::steady_clock::time_point since) {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now() - since)
@@ -204,6 +209,12 @@ Result<RunMetrics> RunTcpRoot(const SystemConfig& config,
   for (NodeId id : LocalIds(config)) {
     Status st = transport.Send(ShutdownMessage(0, id));
     (void)st;
+  }
+  // Closing the listener before every local has the release strands a local
+  // whose connection was severed just before it: its redial is refused and
+  // it waits out its own timeout. Wait (bounded) for the acks first.
+  if (run_status.ok()) {
+    (void)transport.AwaitAcked(kShutdownAckTimeoutUs);
   }
   // Flushes the shutdown broadcasts and settles all traffic counters.
   transport.Shutdown();

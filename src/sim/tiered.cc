@@ -75,47 +75,11 @@ TieredSyncDriver::TieredSyncDriver(TieredSystem* tiered, net::Network* network,
   (void)clock_;
 }
 
-namespace {
-template <typename Fn>
-double TimedUs(Fn&& fn, Status* st) {
-  auto start = std::chrono::steady_clock::now();
-  *st = fn();
-  auto end = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::micro>(end - start).count();
-}
-}  // namespace
-
-Status TieredSyncDriver::PumpMessages() {
-  System& system = tiered_->system;
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    net::Channel* root_inbox = network_->Inbox(system.root_id);
-    while (auto msg = root_inbox->TryPop()) {
-      Status st;
-      root_busy_us_ += TimedUs([&] { return system.root->OnMessage(*msg); }, &st);
-      DEMA_RETURN_NOT_OK(st);
-      progress = true;
-    }
-    for (size_t i = 0; i < system.locals.size(); ++i) {
-      net::Channel* inbox = network_->Inbox(system.local_ids[i]);
-      while (auto msg = inbox->TryPop()) {
-        Status st;
-        local_busy_us_[i] +=
-            TimedUs([&] { return system.locals[i]->OnMessage(*msg); }, &st);
-        DEMA_RETURN_NOT_OK(st);
-        progress = true;
-      }
-    }
-  }
-  return Status::OK();
-}
-
 Status TieredSyncDriver::Run(uint64_t num_windows, DurationUs window_len_us,
                              DurationUs window_slide_us) {
   System& system = tiered_->system;
-  local_busy_us_.assign(system.locals.size(), 0.0);
-  root_busy_us_ = 0;
+  busy_ = BusyTime{};
+  busy_.local_us.assign(system.locals.size(), 0.0);
   system.root->SetResultCallback(
       [this](const WindowOutput& out) { outputs_.push_back(out); });
 
@@ -124,20 +88,19 @@ Status TieredSyncDriver::Run(uint64_t num_windows, DurationUs window_len_us,
     for (auto& sensor : tiered_->sensors) {
       DEMA_RETURN_NOT_OK(sensor->PumpInterval(start, window_len_us));
     }
-    DEMA_RETURN_NOT_OK(PumpMessages());
+    DEMA_RETURN_NOT_OK(PumpUntilQuiet(network_, &system, &busy_));
   }
   TimestampUs final_ts = static_cast<TimestampUs>(num_windows) * window_len_us;
   for (auto& sensor : tiered_->sensors) {
     DEMA_RETURN_NOT_OK(sensor->Finish(final_ts));
   }
-  DEMA_RETURN_NOT_OK(PumpMessages());
+  DEMA_RETURN_NOT_OK(PumpUntilQuiet(network_, &system, &busy_));
   for (size_t i = 0; i < system.locals.size(); ++i) {
-    Status st;
-    local_busy_us_[i] +=
-        TimedUs([&] { return system.locals[i]->OnFinish(final_ts); }, &st);
-    DEMA_RETURN_NOT_OK(st);
+    DEMA_RETURN_NOT_OK(ChargeBusy(&busy_.local_us[i], [&] {
+      return system.locals[i]->OnFinish(final_ts);
+    }));
   }
-  DEMA_RETURN_NOT_OK(PumpMessages());
+  DEMA_RETURN_NOT_OK(PumpUntilQuiet(network_, &system, &busy_));
 
   stream::SlidingWindowAssigner assigner(
       stream::WindowSpec{window_len_us, window_slide_us});
@@ -159,12 +122,6 @@ uint64_t TieredSyncDriver::events_produced() const {
   return total;
 }
 
-double TieredSyncDriver::max_local_busy_seconds() const {
-  double max_us = 0;
-  for (double b : local_busy_us_) max_us = std::max(max_us, b);
-  return max_us / 1e6;
-}
-
 Result<TieredRunMetrics> RunTiered(const TieredConfig& config,
                                    uint64_t num_windows) {
   RealClock clock;
@@ -179,32 +136,10 @@ Result<TieredRunMetrics> RunTiered(const TieredConfig& config,
 
   TieredRunMetrics metrics;
   metrics.events_produced = driver.events_produced();
-  metrics.run.events_ingested = metrics.events_produced;
-  metrics.run.windows_emitted = tiered.system.root->windows_emitted();
-  metrics.run.wall_seconds =
-      std::chrono::duration<double>(wall_end - wall_start).count();
-  LatencyRecorder latency;
-  for (const WindowOutput& out : driver.outputs()) latency.Record(out.latency_us);
-  metrics.run.latency = latency.Summarize();
-  auto total = network.TotalStats();
-  metrics.run.network_total = total.counters;
-  metrics.run.simulated_transfer_us = total.simulated_transfer_us;
-  metrics.run.by_type = network.StatsByType();
-  metrics.run.root_busy_seconds = driver.root_busy_seconds();
-  metrics.run.max_local_busy_seconds = driver.max_local_busy_seconds();
-  double bottleneck = std::max(metrics.run.root_busy_seconds,
-                               metrics.run.max_local_busy_seconds);
-  metrics.run.sim_throughput_eps =
-      bottleneck > 0 ? static_cast<double>(metrics.events_produced) / bottleneck
-                     : 0;
-  metrics.run.bottleneck =
-      metrics.run.root_busy_seconds >= metrics.run.max_local_busy_seconds
-          ? "root"
-          : "local";
-  if (auto* dema_root =
-          dynamic_cast<core::DemaRootNode*>(tiered.system.root.get())) {
-    metrics.run.dema = dema_root->stats();
-  }
+  metrics.run = SummarizeSyncRun(
+      driver.outputs(), metrics.events_produced,
+      std::chrono::duration<double>(wall_end - wall_start).count(), &network,
+      tiered.system, driver.busy());
 
   // Tier split: any endpoint above the local-id range is a sensor.
   NodeId max_local = static_cast<NodeId>(config.system.num_locals);

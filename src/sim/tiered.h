@@ -65,7 +65,8 @@ struct TieredRunMetrics {
 };
 
 /// \brief Deterministic driver for the three-tier topology: pumps every
-/// sensor interval-by-interval, dispatches messages until quiescent, and
+/// sensor interval-by-interval, delivers messages until quiescent
+/// (`PumpUntilQuiet`, so inline and event-delivery networks both work), and
 /// verifies the root emitted every window.
 class TieredSyncDriver {
  public:
@@ -79,20 +80,15 @@ class TieredSyncDriver {
   const std::vector<WindowOutput>& outputs() const { return outputs_; }
   /// Events generated across all sensors.
   uint64_t events_produced() const;
-  /// Busy seconds of the busiest edge node.
-  double max_local_busy_seconds() const;
-  /// Busy seconds of the root.
-  double root_busy_seconds() const { return root_busy_us_ / 1e6; }
+  /// Per-node busy time of the edge and root tiers.
+  const BusyTime& busy() const { return busy_; }
 
  private:
-  Status PumpMessages();
-
   TieredSystem* tiered_;
   net::Network* network_;
   const Clock* clock_;
   std::vector<WindowOutput> outputs_;
-  std::vector<double> local_busy_us_;
-  double root_busy_us_ = 0;
+  BusyTime busy_;
 };
 
 /// \brief Convenience: builds the tiered topology, runs the driver, and

@@ -7,6 +7,7 @@
 
 #include "common/clock.h"
 #include "common/result.h"
+#include "dema/relay_node.h"
 #include "exec/executor.h"
 #include "net/codec.h"
 #include "net/network.h"
@@ -126,8 +127,8 @@ struct SystemConfig {
   uint64_t qdigest_k = 256;
 };
 
-/// \brief A fully wired topology: the root plus its local nodes, registered
-/// on a network.
+/// \brief A fully wired topology: the root, an optional relay tier, and the
+/// local nodes, registered on a network.
 struct System {
   NodeId root_id = 0;
   std::vector<NodeId> local_ids;
@@ -136,7 +137,12 @@ struct System {
   /// destruction.
   std::shared_ptr<exec::Executor> executor;
   std::unique_ptr<RootNodeLogic> root;
+  /// A null entry is a crashed slot: drivers skip it (see `sim/chaos.h`).
   std::vector<std::unique_ptr<LocalNodeLogic>> locals;
+  /// Relays between the root and the locals (`BuildTreeSystem`); empty for a
+  /// flat topology.
+  std::vector<NodeId> relay_ids;
+  std::vector<std::unique_ptr<core::DemaRelayNode>> relays;
 };
 
 /// \brief Validates \p config (node counts, window spec, quantiles).

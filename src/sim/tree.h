@@ -13,6 +13,7 @@
 #include "obs/registry.h"
 #include "obs/trace.h"
 #include "sim/driver.h"
+#include "sim/topology.h"
 
 namespace dema::sim {
 
@@ -35,45 +36,12 @@ struct TreeConfig {
   obs::TraceRecorder* tracer = nullptr;
 };
 
-/// \brief A built aggregation tree. Node ids: root = 0, relays = 1..R,
-/// leaf locals = R+1 .. R+R*L (relay-major).
-struct TreeSystem {
-  NodeId root_id = 0;
-  std::unique_ptr<core::DemaRootNode> root;
-  std::vector<NodeId> relay_ids;
-  std::vector<std::unique_ptr<core::DemaRelayNode>> relays;
-  std::vector<NodeId> local_ids;
-  std::vector<std::unique_ptr<core::DemaLocalNode>> locals;
-};
-
-/// \brief Builds the two-level tree on \p network. The root sees the relays
-/// as its "local nodes"; each relay aggregates its leaves — Dema's protocol
-/// composes through the middle tier unchanged.
-Result<TreeSystem> BuildTreeSystem(const TreeConfig& config, net::Network* network,
-                                   const Clock* clock);
-
-/// \brief Deterministic driver for tree topologies: feeds leaf locals from
-/// generators and pumps every tier until quiescent.
-class TreeSyncDriver {
- public:
-  TreeSyncDriver(TreeSystem* tree, net::Network* network, const Clock* clock);
-
-  /// Runs the workload (one generator per leaf, leaf order).
-  Status Run(const WorkloadConfig& workload);
-
-  /// Outputs emitted by the root, in emission order.
-  const std::vector<WindowOutput>& outputs() const { return outputs_; }
-  /// Total events ingested across leaves.
-  uint64_t events_ingested() const { return events_ingested_; }
-
- private:
-  Status PumpMessages();
-
-  TreeSystem* tree_;
-  net::Network* network_;
-  const Clock* clock_;
-  std::vector<WindowOutput> outputs_;
-  uint64_t events_ingested_ = 0;
-};
+/// \brief Builds the two-level tree on \p network as a `System` whose relay
+/// tier sits between the root and the locals. The root sees the relays as its
+/// "local nodes"; each relay aggregates its leaves — Dema's protocol composes
+/// through the middle tier unchanged. Node ids: root = 0, relays = 1..R, leaf
+/// locals = R+1 .. R+R*L (relay-major). `SyncDriver` runs the result.
+Result<System> BuildTreeSystem(const TreeConfig& config, net::Network* network,
+                               const Clock* clock);
 
 }  // namespace dema::sim

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <future>
 #include <thread>
 
 #include "common/logging.h"
@@ -236,6 +237,40 @@ void TcpTransport::StopLoopForTest() {
   if (loop_thread_.joinable()) loop_thread_.join();
 }
 
+bool TcpTransport::AwaitAcked(DurationUs timeout_us) {
+  const TimestampUs deadline = EpollLoop::NowUs() + timeout_us;
+  while (true) {
+    // The session state belongs to the loop thread: ask it. A loop that is
+    // not running never answers, and the deadline ends the wait.
+    auto answer = std::make_shared<std::promise<bool>>();
+    std::future<bool> acked = answer->get_future();
+    loop_.Post([this, answer] { answer->set_value(AllAcked()); });
+    TimestampUs now = EpollLoop::NowUs();
+    if (now >= deadline ||
+        acked.wait_for(std::chrono::microseconds(deadline - now)) !=
+            std::future_status::ready) {
+      return false;
+    }
+    if (acked.get()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+bool TcpTransport::AllAcked() {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& [dst, session] : sessions_) {
+    (void)dst;
+    if (session->outbox->size() > 0 || session->retained() > 0) return false;
+  }
+  for (const auto& c : conns_) {
+    if (c->dead.load(std::memory_order_relaxed)) continue;
+    for (const Conn::PendingFrame& f : c->wq) {
+      if (!f.control && f.retain && f.session != nullptr) return false;
+    }
+  }
+  return true;
+}
+
 void TcpTransport::RequestRedial(NodeId dst) {
   if (!options_.auto_reconnect || stopped_.load(std::memory_order_relaxed)) {
     return;
@@ -406,9 +441,11 @@ Status TcpTransport::Send(net::Message m) {
     auto sit = sessions_.find(dst);
     if (sit != sessions_.end()) {
       session = sit->second.get();
-    } else if (route_live) {
+    } else if (route_live ||
+               (rit != routes_.end() && options_.auto_reconnect)) {
       // Hello-learned route (we are the acceptor replying): the session is
-      // created on first reply.
+      // created on first reply. When that route has already died, the reply
+      // waits in the new session's outbox for the dialer to reconnect.
       session = SessionForLocked(dst);
     } else if (peers_.find(dst) == peers_.end()) {
       return Status::NotFound("no route to node " + std::to_string(dst) +

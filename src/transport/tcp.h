@@ -214,6 +214,14 @@ class TcpTransport final : public Transport {
   /// the transport's own private registry).
   obs::Registry* registry() const { return registry_; }
 
+  /// Blocks until every message sent so far has been acknowledged by its
+  /// destination — no session holds queued, unwritten or unacked frames — or
+  /// \p timeout_us passes. Returns whether everything was acknowledged. A
+  /// severed session counts as unacknowledged until its peer reconnects and
+  /// acks the replay, so a caller that waits here before `Shutdown` keeps the
+  /// listener open for that reconnect.
+  bool AwaitAcked(DurationUs timeout_us);
+
   /// Flushes outbound queues (bounded by a per-connection grace period),
   /// closes the listener and every connection, joins the I/O thread, and
   /// closes hosted inboxes. Idempotent.
@@ -385,6 +393,8 @@ class TcpTransport final : public Transport {
   /// Effective retransmit timeout / retention bound (derived defaults).
   DurationUs RetransmitTimeoutUs() const;
   size_t RetainCapacity() const;
+  /// Loop thread: no session has queued, unwritten or unacked data frames.
+  bool AllAcked();
 
   // --- loop-thread handlers -------------------------------------------------
   void RegisterConn(Conn* conn);

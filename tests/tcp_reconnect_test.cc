@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <string>
@@ -179,6 +180,51 @@ TEST(TcpResilience, InjectedConnKillsDeliverEveryMessageExactlyOnce) {
   EXPECT_GE(creg->GetCounter("net.replayed_frames")->Value(), 1u);
 
   client.Shutdown();
+  server.Shutdown();
+}
+
+TEST(TcpResilience, ReplyToALostDialerWaitsForItsReconnect) {
+  // An acceptor learns its routes from the dialers' hellos. A reply to a
+  // dialer whose connection died before the acceptor's first reply must
+  // wait in a session until the dialer is back, not fail with "no route":
+  // a TCP root answers its locals this way, and that error ended the whole
+  // run when a local's link was severed right after its first synopsis.
+  TcpTransportOptions sopts;
+  sopts.auto_reconnect = true;
+  TcpTransport server(sopts);
+  ASSERT_TRUE(server.AddLocalNode(0).ok());
+  ASSERT_TRUE(server.Start().ok());
+
+  TcpTransportOptions copts;
+  copts.listen = false;
+  auto first = std::make_unique<TcpTransport>(copts);
+  ASSERT_TRUE(first->AddLocalNode(1).ok());
+  ASSERT_TRUE(first->AddPeer(0, "127.0.0.1", server.bound_port()).ok());
+  ASSERT_TRUE(first->Start().ok());
+  ASSERT_TRUE(first->Send(TestMessage(1, 0, 8)).ok());
+  ASSERT_TRUE(server.Inbox(0)->PopFor(5 * kMicrosPerSecond).has_value());
+  first->Shutdown();
+  ASSERT_TRUE(WaitFor([&] {
+    return server.registry()->GetCounter("net.peer_down")->Value() >= 1;
+  }));
+
+  ASSERT_TRUE(server.Send(TestMessage(0, 1, 16)).ok());
+  // Nobody can acknowledge the reply while node 1 is away.
+  EXPECT_FALSE(server.AwaitAcked(MillisUs(50)));
+
+  copts.seq_epoch = 1;  // node 1's next life
+  TcpTransport second(copts);
+  ASSERT_TRUE(second.AddLocalNode(1).ok());
+  ASSERT_TRUE(second.AddPeer(0, "127.0.0.1", server.bound_port()).ok());
+  ASSERT_TRUE(second.Start().ok());
+  ASSERT_TRUE(second.Send(TestMessage(1, 0, 8)).ok());
+  auto reply = second.Inbox(1)->PopFor(5 * kMicrosPerSecond);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->src, 0u);
+  EXPECT_EQ(reply->payload_size(), 16u);
+  EXPECT_TRUE(server.AwaitAcked(5 * kMicrosPerSecond));
+
+  second.Shutdown();
   server.Shutdown();
 }
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <vector>
 
 #include "common/clock.h"
@@ -29,9 +30,10 @@ WorkloadConfig Workload(size_t locals, uint64_t windows, double rate,
   return sim::MakeUniformWorkload(locals, windows, rate, dist, {}, seed_base);
 }
 
-std::vector<sim::WindowOutput> RunOnce(SystemConfig config,
-                                       const WorkloadConfig& load,
-                                       obs::Registry* registry = nullptr) {
+std::vector<sim::WindowOutput> RunOnce(
+    SystemConfig config, const WorkloadConfig& load,
+    obs::Registry* registry = nullptr,
+    std::map<net::MessageType, net::TrafficCounters>* by_type = nullptr) {
   RealClock clock;
   net::Network network(&clock);
   config.registry = registry;
@@ -51,6 +53,7 @@ std::vector<sim::WindowOutput> RunOnce(SystemConfig config,
   sim::SyncDriver driver(&sys, &network, &clock);
   Status st = driver.Run(workload);
   EXPECT_TRUE(st.ok()) << st;
+  if (by_type != nullptr) *by_type = network.StatsByType();
   return driver.outputs();
 }
 
@@ -129,6 +132,39 @@ TEST(ThreadedClose, MatchesInlineWithSlidingWindows) {
   auto threaded_out = RunOnce(config, load);
   ASSERT_GT(inline_out.size(), 5u);  // sliding: more closes than horizons
   ExpectSameOutputs(inline_out, threaded_out);
+}
+
+TEST(ThreadedClose, MatchesInlineWithDisorderedWorkload) {
+  // Out-of-order delivery feeds the locals in chunks with held-back
+  // watermarks; the driver quiesces the pool after every chunk, so the pool
+  // ships the same messages in the same order as the inline close path.
+  SystemConfig config;
+  config.kind = SystemKind::kDema;
+  config.num_locals = 3;
+  config.quantiles = {0.5, 0.99};
+  config.gamma = 300;
+
+  WorkloadConfig load = Workload(config.num_locals, 5, 6'000, 41);
+  load.max_disorder_us = 50'000;
+  load.allowed_lateness_us = 50'000;
+
+  std::map<net::MessageType, net::TrafficCounters> inline_by_type;
+  std::map<net::MessageType, net::TrafficCounters> threaded_by_type;
+  config.workers = 0;
+  auto inline_out = RunOnce(config, load, nullptr, &inline_by_type);
+  config.workers = 2;
+  auto threaded_out = RunOnce(config, load, nullptr, &threaded_by_type);
+  ASSERT_EQ(inline_out.size(), 5u);
+  ExpectSameOutputs(inline_out, threaded_out);
+  ASSERT_EQ(inline_by_type.size(), threaded_by_type.size());
+  for (const auto& [type, counters] : inline_by_type) {
+    EXPECT_EQ(counters.messages, threaded_by_type[type].messages)
+        << net::MessageTypeToString(type);
+    EXPECT_EQ(counters.bytes, threaded_by_type[type].bytes)
+        << net::MessageTypeToString(type);
+    EXPECT_EQ(counters.events, threaded_by_type[type].events)
+        << net::MessageTypeToString(type);
+  }
 }
 
 TEST(ThreadedClose, ExecutorMetricsAccountEveryWindow) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "common/clock.h"
 #include "net/network.h"
@@ -179,6 +180,33 @@ TEST(EventDelivery, VirtualTimeOrdersArrivalsByTransferTime) {
   EXPECT_EQ(first->src, 2u);
   EXPECT_EQ(second->src, 1u);
   EXPECT_GT(net.virtual_now_us(), 10'000u);
+}
+
+TEST(EventDelivery, OneFlowDeliversInSendOrder) {
+  // Across flows a small message overtakes a big one (above); within one
+  // (src, dst) flow it waits, as on a TCP connection. A sensor's end-of-
+  // interval marker must not pass the event batches it closes.
+  for (const char* spec : {"", "fat-tree:k=4"}) {
+    RealClock clock;
+    net::Network::Options opts;
+    opts.delivery = net::Network::DeliveryMode::kEvent;
+    opts.link_model.bandwidth_bytes_per_sec = 1e6;
+    if (*spec != '\0') {
+      auto topo = tick::Topology::Build(spec, 16);
+      ASSERT_TRUE(topo.ok());
+      opts.topology = *topo;
+    }
+    net::Network net(&clock, opts);
+    for (NodeId id = 0; id < 16; ++id) ASSERT_TRUE(net.RegisterNode(id).ok());
+
+    ASSERT_TRUE(net.Send(EventMessage(15, 0, 100'000)).ok());
+    ASSERT_TRUE(net.Send(EventMessage(15, 0, 10)).ok());
+    ASSERT_TRUE(net.Send(EventMessage(15, 0, 1'000)).ok());
+    while (net.pending_events() > 0) net.AdvanceEvents();
+    std::vector<size_t> sizes;
+    while (auto m = net.Inbox(0)->TryPop()) sizes.push_back(m->payload.size());
+    EXPECT_EQ(sizes, (std::vector<size_t>{100'000, 10, 1'000})) << spec;
+  }
 }
 
 TEST(EventDelivery, RoutedHopsRecordPerTierLatencies) {

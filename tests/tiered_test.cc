@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 
 #include "common/clock.h"
 #include "sim/ingest_adapter.h"
@@ -109,6 +110,50 @@ INSTANTIATE_TEST_SUITE_P(Systems, TieredExactness,
                            std::replace(name.begin(), name.end(), '-', '_');
                            return name;
                          });
+
+struct DeliveryRun {
+  std::vector<WindowOutput> outputs;
+  std::map<net::MessageType, net::TrafficCounters> by_type;
+};
+
+DeliveryRun RunTieredWithDelivery(net::Network::DeliveryMode mode) {
+  TieredConfig config = BaseConfig(SystemKind::kDema);
+  RealClock clock;
+  net::Network::Options options;
+  options.delivery = mode;
+  net::Network network(&clock, options);
+  auto tiered = BuildTieredSystem(config, &network, &clock);
+  EXPECT_TRUE(tiered.ok()) << tiered.status();
+  TieredSyncDriver driver(&*tiered, &network, &clock);
+  Status st = driver.Run(3, kMicrosPerSecond);
+  EXPECT_TRUE(st.ok()) << st;
+  return {driver.outputs(), network.StatsByType()};
+}
+
+TEST(TieredTopology, EventDeliveryMatchesInline) {
+  // Sensor batches, synopses and candidate traffic all wait on the event
+  // queue; the driver must advance it whenever every inbox is empty.
+  DeliveryRun inline_run =
+      RunTieredWithDelivery(net::Network::DeliveryMode::kInline);
+  DeliveryRun event_run =
+      RunTieredWithDelivery(net::Network::DeliveryMode::kEvent);
+  ASSERT_EQ(inline_run.outputs.size(), 3u);
+  ASSERT_EQ(event_run.outputs.size(), inline_run.outputs.size());
+  for (size_t i = 0; i < inline_run.outputs.size(); ++i) {
+    const WindowOutput& a = inline_run.outputs[i];
+    const WindowOutput& b = event_run.outputs[i];
+    EXPECT_EQ(a.window_id, b.window_id) << "output " << i;
+    EXPECT_EQ(a.global_size, b.global_size) << "output " << i;
+    EXPECT_EQ(a.values, b.values) << "output " << i;
+  }
+  ASSERT_EQ(inline_run.by_type.size(), event_run.by_type.size());
+  for (const auto& [type, counters] : inline_run.by_type) {
+    EXPECT_EQ(counters.bytes, event_run.by_type[type].bytes)
+        << net::MessageTypeToString(type);
+    EXPECT_EQ(counters.messages, event_run.by_type[type].messages)
+        << net::MessageTypeToString(type);
+  }
+}
 
 TEST(TieredTopology, TierTrafficSplitsCorrectly) {
   TieredConfig dema_config = BaseConfig(SystemKind::kDema);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 
 #include "common/clock.h"
 #include "common/rng.h"
@@ -65,7 +66,7 @@ TreeRun RunTree(const TreeConfig& config, uint64_t windows, double rate) {
     }
   }
 
-  TreeSyncDriver driver(&*tree, &network, &clock);
+  SyncDriver driver(&*tree, &network, &clock);
   Status st = driver.Run(load);
   EXPECT_TRUE(st.ok()) << st;
   run.outputs = driver.outputs();
@@ -120,7 +121,7 @@ TEST(TreeTopology, RelayCutsRootFanIn) {
   WorkloadConfig load = MakeUniformWorkload(8, 3, 2000, Uniform01k());
   load.window_len_us = config.window_len_us;
   for (size_t i = 0; i < 8; ++i) load.generators[i].node = tree->local_ids[i];
-  TreeSyncDriver driver(&*tree, &network, &clock);
+  SyncDriver driver(&*tree, &network, &clock);
   ASSERT_TRUE(driver.Run(load).ok());
 
   // The root receives exactly one synopsis batch per relay per window,
@@ -135,6 +136,57 @@ TEST(TreeTopology, RelayCutsRootFanIn) {
   }
   // Root link carries only relay traffic: 3 synopses + <=3 replies per relay.
   EXPECT_LE(root_inbound, 2u * 3 * 2);
+}
+
+struct DeliveryRun {
+  std::vector<WindowOutput> outputs;
+  std::map<net::MessageType, net::TrafficCounters> by_type;
+};
+
+DeliveryRun RunTreeWithDelivery(net::Network::DeliveryMode mode) {
+  RealClock clock;
+  net::Network::Options options;
+  options.delivery = mode;
+  net::Network network(&clock, options);
+  TreeConfig config;
+  config.num_relays = 2;
+  config.locals_per_relay = 3;
+  config.gamma = 64;
+  config.quantiles = {0.5, 0.9};
+  auto tree = BuildTreeSystem(config, &network, &clock);
+  EXPECT_TRUE(tree.ok()) << tree.status();
+  WorkloadConfig load = MakeUniformWorkload(6, 3, 2000, Uniform01k());
+  load.window_len_us = config.window_len_us;
+  for (size_t i = 0; i < 6; ++i) load.generators[i].node = tree->local_ids[i];
+  SyncDriver driver(&*tree, &network, &clock);
+  Status st = driver.Run(load);
+  EXPECT_TRUE(st.ok()) << st;
+  return {driver.outputs(), network.StatsByType()};
+}
+
+TEST(TreeTopology, EventDeliveryMatchesInline) {
+  // The synchronous driver advances an event-delivery network's virtual time
+  // whenever every inbox is empty; without that no message ever arrives and
+  // the root emits nothing.
+  DeliveryRun inline_run =
+      RunTreeWithDelivery(net::Network::DeliveryMode::kInline);
+  DeliveryRun event_run = RunTreeWithDelivery(net::Network::DeliveryMode::kEvent);
+  ASSERT_EQ(inline_run.outputs.size(), 3u);
+  ASSERT_EQ(event_run.outputs.size(), inline_run.outputs.size());
+  for (size_t i = 0; i < inline_run.outputs.size(); ++i) {
+    const WindowOutput& a = inline_run.outputs[i];
+    const WindowOutput& b = event_run.outputs[i];
+    EXPECT_EQ(a.window_id, b.window_id) << "output " << i;
+    EXPECT_EQ(a.global_size, b.global_size) << "output " << i;
+    EXPECT_EQ(a.values, b.values) << "output " << i;
+  }
+  ASSERT_EQ(inline_run.by_type.size(), event_run.by_type.size());
+  for (const auto& [type, counters] : inline_run.by_type) {
+    EXPECT_EQ(counters.bytes, event_run.by_type[type].bytes)
+        << net::MessageTypeToString(type);
+    EXPECT_EQ(counters.messages, event_run.by_type[type].messages)
+        << net::MessageTypeToString(type);
+  }
 }
 
 TEST(TreeTopology, GammaUpdatePropagatesToLeaves) {
@@ -159,7 +211,9 @@ TEST(TreeTopology, GammaUpdatePropagatesToLeaves) {
     ASSERT_TRUE(forwarded.has_value());
     EXPECT_EQ(forwarded->type, net::MessageType::kGammaUpdate);
     ASSERT_TRUE(tree->locals[leaf]->OnMessage(*forwarded).ok());
-    EXPECT_EQ(tree->locals[leaf]->GammaForWindow(0), 7u);
+    EXPECT_EQ(static_cast<core::DemaLocalNode*>(tree->locals[leaf].get())
+                  ->GammaForWindow(0),
+              7u);
   }
 }
 

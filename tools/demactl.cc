@@ -317,7 +317,7 @@ int CmdTree(const Flags& flags) {
   net::Network network(&clock, net_options);
   auto tree_result = sim::BuildTreeSystem(config, &network, &clock);
   if (!tree_result.ok()) return Fail(tree_result.status().ToString());
-  sim::TreeSystem tree = std::move(tree_result).MoveValueUnsafe();
+  sim::System tree = std::move(tree_result).MoveValueUnsafe();
 
   gen::DistributionParams dist;
   auto kind_result =
@@ -334,7 +334,7 @@ int CmdTree(const Flags& flags) {
   load.window_len_us = config.window_len_us;
   for (size_t i = 0; i < leaves; ++i) load.generators[i].node = tree.local_ids[i];
 
-  sim::TreeSyncDriver driver(&tree, &network, &clock);
+  sim::SyncDriver driver(&tree, &network, &clock);
   Status st = driver.Run(load);
   if (!st.ok()) return Fail(st.ToString());
 
