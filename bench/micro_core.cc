@@ -1,6 +1,6 @@
 // Microbenchmarks (google-benchmark) for the hot paths: local window sorting,
-// loser-tree merging, slice cutting, window-cut selection, sketch updates,
-// and wire serialization.
+// loser-tree merging, rank selection across sorted runs, slice cutting,
+// window-cut selection, sketch updates, and wire serialization.
 
 #include <benchmark/benchmark.h>
 
@@ -13,6 +13,7 @@
 #include "sketch/qdigest.h"
 #include "sketch/tdigest.h"
 #include "stream/merge.h"
+#include "stream/quantile.h"
 #include "stream/sorted_buffer.h"
 
 namespace dema {
@@ -69,6 +70,43 @@ void BM_LoserTreeMerge(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * k * per_run);
 }
 BENCHMARK(BM_LoserTreeMerge)->Arg(2)->Arg(8)->Arg(64);
+
+// Root rank selection (p50 and p99) across k sorted runs of n events each:
+// 2x10 is a keyed key-window, 60x1500 the fanin_64 candidate set, 1000x1
+// the many-tiny-runs worst case.
+void BM_SelectRanksFromRuns(benchmark::State& state) {
+  const size_t k = state.range(0);
+  const size_t per_run = state.range(1);
+  std::vector<std::vector<Event>> runs;
+  for (size_t i = 0; i < k; ++i) {
+    auto run = RandomEvents(per_run, 31 + i, static_cast<NodeId>(i));
+    std::sort(run.begin(), run.end());
+    runs.push_back(std::move(run));
+  }
+  const uint64_t total = k * per_run;
+  const std::vector<uint64_t> ranks = {stream::QuantileRank(0.5, total),
+                                       stream::QuantileRank(0.99, total)};
+  // The call consumes its runs; copies are made in batches with the timer
+  // paused so neither the copies nor the pauses dominate small shapes.
+  const size_t batch = std::clamp<size_t>(1'000'000 / total, 1, 256);
+  std::vector<std::vector<std::vector<Event>>> copies;
+  for (auto _ : state) {
+    if (copies.empty()) {
+      state.PauseTiming();
+      copies.assign(batch, runs);
+      state.ResumeTiming();
+    }
+    auto picked = stream::SelectRanksFromRuns(std::move(copies.back()), ranks);
+    benchmark::DoNotOptimize(picked);
+    copies.pop_back();
+  }
+  state.SetItemsProcessed(state.iterations() * total);
+}
+BENCHMARK(BM_SelectRanksFromRuns)
+    ->Args({2, 10})
+    ->Args({4, 50'000})
+    ->Args({60, 1'500})
+    ->Args({1000, 1});
 
 void BM_CutIntoSlices(benchmark::State& state) {
   auto events = RandomEvents(1'000'000, 23);

@@ -620,8 +620,8 @@ Status DemaRootNode::HandleCandidateReply(CandidateReply reply, NodeId src) {
 }
 
 Status DemaRootNode::CompleteWindow(net::WindowId id, PendingWindow* w) {
-  // Replies are pre-sorted runs (one per node); rank-select straight off the
-  // loser tree — the merged candidate sequence is never materialized. The
+  // Replies are pre-sorted runs (one per node); rank-select across them by
+  // pivot search — the merged candidate sequence is never materialized. The
   // window-cut consistency check works on summed run sizes instead.
   uint64_t total = 0;
   for (const auto& run : w->reply_runs) total += run.size();

@@ -136,8 +136,8 @@ struct DemaRootStats {
 ///
 /// Per global window: collects one synopsis batch from every local node,
 /// runs window-cut to pick candidate slices, requests exactly those slices'
-/// events, merges the pre-sorted replies with a loser tree, and emits the
-/// exact quantile event(s). Windows complete independently, so several can
+/// events, selects the target ranks across the pre-sorted replies, and
+/// emits the exact quantile event(s). Windows complete independently, so several can
 /// be in flight.
 class DemaRootNode final : public sim::RootNodeLogic {
  public:

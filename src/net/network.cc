@@ -22,9 +22,9 @@ Network::Network(const Clock* clock, Options options)
       c_corrupted_frame_(registry_->GetCounter("net.corrupted{layer=frame}")),
       c_corrupted_payload_(
           registry_->GetCounter("net.corrupted{layer=payload}")),
+      fault_rng_(options.fault_seed),
       c_sim_ticks_(registry_->GetCounter("sim.ticks")),
-      c_sim_events_(registry_->GetCounter("sim.events")),
-      fault_rng_(options.fault_seed) {}
+      c_sim_events_(registry_->GetCounter("sim.events")) {}
 
 Status Network::RegisterNode(NodeId id) {
   return RegisterNode(id, options_.inbox_capacity);

@@ -145,9 +145,8 @@ size_t LoserTreeMerger::Winner() const {
   return w;
 }
 
-void LoserTreeMerger::Advance(size_t w, size_t n) {
-  pos_[w] += n;
-  if (pos_[w] < runs_[w].size()) {
+void LoserTreeMerger::Advance(size_t w) {
+  if (++pos_[w] < runs_[w].size()) {
     heads_[w] = runs_[w][pos_[w]];
     head_vals_[w] = heads_[w].value;
   } else {
@@ -161,46 +160,8 @@ Event LoserTreeMerger::Next() {
   size_t w = Winner();
   Event out = heads_[w];
   --remaining_;
-  Advance(w, 1);
+  Advance(w);
   return out;
-}
-
-Event LoserTreeMerger::LimitExcluding(size_t w) const {
-  Event best = Sentinel();
-  if (flat_) {
-    for (size_t i = 0; i < heads_.size(); ++i) {
-      if (i != w && heads_[i] < best) best = heads_[i];
-    }
-    return best;
-  }
-  // In a loser tree the candidates to succeed leaf w are exactly the losers
-  // stored on w's root path; their minimum bounds how far w may gallop.
-  for (size_t node = (k_ + w) / 2; node >= 1; node /= 2) {
-    const Event& l = heads_[tree_[node]];
-    if (l < best) best = l;
-  }
-  return best;
-}
-
-void LoserTreeMerger::Skip(uint64_t n) {
-  while (n > 0) {
-    size_t w = Winner();
-    const std::vector<Event>& run = runs_[w];
-    // Gallop: every event of run w strictly below the best other head is
-    // next in the merged order — binary search the boundary instead of
-    // replaying the tournament per event.
-    const Event limit = LimitExcluding(w);
-    size_t hi = static_cast<size_t>(
-        std::lower_bound(run.begin() + pos_[w], run.end(), limit) -
-        run.begin());
-    uint64_t m = std::min<uint64_t>(n, hi - pos_[w]);
-    // A tie at the boundary (head == limit) gallops zero but still wins the
-    // tournament by leaf index: emit one event to guarantee progress.
-    if (m == 0) m = 1;
-    remaining_ -= m;
-    n -= m;
-    Advance(w, static_cast<size_t>(m));
-  }
 }
 
 void LoserTreeMerger::Replay(size_t runner) {
@@ -219,10 +180,141 @@ std::vector<Event> MergeSortedRuns(std::vector<std::vector<Event>> runs) {
   return out;
 }
 
+namespace {
+
+/// What is left of one sorted run in a rank search, and its split around the
+/// current pivot: [lo, lt) orders below it, [lt, le) equals it, [le, hi)
+/// orders above it.
+struct Span {
+  const Event* lo;
+  const Event* hi;
+  const Event* lt;
+  const Event* le;
+  uint64_t size() const { return static_cast<uint64_t>(hi - lo); }
+};
+
+/// One pivot candidate: a span's (lower) midpoint weighted by the span's
+/// length. The direct-selection tail reuses the type with weight 1.
+struct Mid {
+  Event event;
+  uint64_t weight;
+};
+
+const Event& MedianOf3(const Event& a, const Event& b, const Event& c) {
+  if (b < a) return c < b ? b : (c < a ? c : a);
+  return c < a ? a : (c < b ? c : b);
+}
+
+/// The smallest event x in [first, last) whose cumulative weight (all
+/// entries ordered at or below x) reaches \p target — the weighted median
+/// when target is half the total weight. Quickselect with a three-way
+/// partition, so O(n) expected and no allocation; reorders the entries.
+/// Requires 1 <= target <= total weight.
+Event WeightedSelect(Mid* first, Mid* last, uint64_t target) {
+  while (true) {
+    const Event pivot =
+        MedianOf3(first->event, first[(last - first) / 2].event, last[-1].event);
+    Mid* eq = std::partition(first, last,
+                             [&](const Mid& m) { return m.event < pivot; });
+    Mid* gt = std::partition(eq, last,
+                             [&](const Mid& m) { return !(pivot < m.event); });
+    uint64_t below = 0;
+    for (const Mid* m = first; m != eq; ++m) below += m->weight;
+    if (target <= below) {
+      last = eq;
+      continue;
+    }
+    uint64_t at = 0;
+    for (const Mid* m = eq; m != gt; ++m) at += m->weight;
+    if (target <= below + at) return pivot;
+    target -= below + at;
+    first = gt;
+  }
+}
+
+/// The k-th smallest (1-based) event across the sorted \p runs. \p spans
+/// and \p scratch are caller-owned buffers with capacity for one entry per
+/// non-empty run, so the search allocates nothing.
+Result<Event> SelectRank(const std::vector<std::vector<Event>>& runs, uint64_t k,
+                 std::vector<Span>* spans, std::vector<Mid>* scratch) {
+  spans->clear();
+  uint64_t live = 0;
+  for (const auto& run : runs) {
+    if (run.empty()) continue;
+    spans->push_back(Span{run.data(), run.data() + run.size(), nullptr, nullptr});
+    live += run.size();
+  }
+  const size_t direct_max = scratch->capacity();
+  while (true) {
+    if (spans->size() == 1) return spans->front().lo[k - 1];
+    scratch->clear();
+    if (live <= direct_max) {
+      // Few enough events left to hold them all: select among them directly.
+      for (const Span& s : *spans) {
+        for (const Event* e = s.lo; e != s.hi; ++e) scratch->push_back(Mid{*e, 1});
+      }
+      auto nth = scratch->begin() + static_cast<std::ptrdiff_t>(k - 1);
+      std::nth_element(scratch->begin(), nth, scratch->end(),
+                       [](const Mid& a, const Mid& b) { return a.event < b.event; });
+      return nth->event;
+    }
+
+    for (const Span& s : *spans) {
+      scratch->push_back(Mid{s.lo[(s.size() - 1) / 2], s.size()});
+    }
+    const Event pivot = WeightedSelect(scratch->data(),
+                                       scratch->data() + scratch->size(),
+                                       (live + 1) / 2);
+    uint64_t less = 0;
+    uint64_t less_or_equal = 0;
+    for (Span& s : *spans) {
+      s.lt = std::lower_bound(s.lo, s.hi, pivot);
+      // Only an exact copy of the pivot can sit at lt; most runs hold none.
+      s.le = s.lt == s.hi || pivot < *s.lt
+                 ? s.lt
+                 : std::upper_bound(s.lt + 1, s.hi, pivot);
+      less += static_cast<uint64_t>(s.lt - s.lo);
+      less_or_equal += static_cast<uint64_t>(s.le - s.lo);
+    }
+    // Every event equal to the pivot is the same tuple, so any rank inside
+    // the equal stretch is the pivot itself.
+    if (k > less && k <= less_or_equal) return pivot;
+    // In sorted runs the pivot counts as neither below itself nor absent, so
+    // either cut shrinks the search; out-of-order input could loop forever.
+    if (less == live || less_or_equal == 0) {
+      return Status::InvalidArgument("runs are not sorted");
+    }
+
+    const bool keep_below = k <= less;
+    if (keep_below) {
+      live = less;
+    } else {
+      live -= less_or_equal;
+      k -= less_or_equal;
+    }
+    size_t kept = 0;
+    for (Span& s : *spans) {
+      if (keep_below) {
+        s.hi = s.lt;
+      } else {
+        s.lo = s.le;
+      }
+      if (s.lo != s.hi) (*spans)[kept++] = s;
+    }
+    spans->resize(kept);
+  }
+}
+
+}  // namespace
+
 Result<std::vector<Event>> SelectRanksFromRuns(
     std::vector<std::vector<Event>> runs, const std::vector<uint64_t>& ranks) {
   uint64_t total = 0;
-  for (const auto& run : runs) total += run.size();
+  size_t non_empty = 0;
+  for (const auto& run : runs) {
+    total += run.size();
+    non_empty += run.empty() ? 0 : 1;
+  }
   for (uint64_t rank : ranks) {
     if (rank < 1 || rank > total) {
       return Status::InvalidArgument("rank " + std::to_string(rank) +
@@ -233,24 +325,26 @@ Result<std::vector<Event>> SelectRanksFromRuns(
   std::vector<Event> out(ranks.size());
   if (ranks.empty()) return out;
 
-  // Visit the requested ranks in ascending order so one forward pass of the
-  // tournament serves all of them, galloping over the gaps; the merger never
-  // advances past the highest requested rank.
+  // Visit the requested ranks in ascending order so a repeated rank reuses
+  // the event its first occurrence selected.
   std::vector<size_t> order(ranks.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::sort(order.begin(), order.end(),
             [&](size_t a, size_t b) { return ranks[a] < ranks[b]; });
 
-  LoserTreeMerger merger(std::move(runs));
-  uint64_t produced = 0;
+  std::vector<Span> spans;
+  spans.reserve(non_empty);
+  std::vector<Mid> scratch;
+  if (non_empty > 1) scratch.reserve(non_empty);
+  uint64_t selected = 0;
   Event current{};
   for (size_t idx : order) {
-    if (ranks[idx] > produced) {
-      merger.Skip(ranks[idx] - produced - 1);
-      current = merger.Next();
-      produced = ranks[idx];
+    if (ranks[idx] != selected) {
+      DEMA_ASSIGN_OR_RETURN(current,
+                            SelectRank(runs, ranks[idx], &spans, &scratch));
+      selected = ranks[idx];
     }
-    out[idx] = current;  // duplicate ranks reuse the event already produced
+    out[idx] = current;
   }
   return out;
 }

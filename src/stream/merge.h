@@ -24,11 +24,6 @@ namespace dema::stream {
 ///  - k ≤ 8: a flat argmin over the contiguous head-value array, using AVX2
 ///    when the CPU has it (runtime dispatch) — the common root fan-in case.
 ///  - otherwise: a loser tree, O(log k) comparisons per produced event.
-///
-/// `Skip(n)` advances past n events without producing them, galloping
-/// through the winning run by binary search up to the smallest head among
-/// the other runs — rank selection with sparse ranks touches O(log run)
-/// per gallop instead of O(n · log k).
 class LoserTreeMerger {
  public:
   /// Takes ownership of \p runs; each run must be sorted by the global event
@@ -42,11 +37,6 @@ class LoserTreeMerger {
   /// `HasNext()` is false.
   Event Next();
 
-  /// Discards the next \p n events of the merged order (cheaper than n
-  /// `Next()` calls when one run dominates a stretch). \p n must not exceed
-  /// `remaining()`.
-  void Skip(uint64_t n);
-
   /// Events not yet produced.
   uint64_t remaining() const { return remaining_; }
 
@@ -57,10 +47,8 @@ class LoserTreeMerger {
   bool Loses(size_t a, size_t b) const;
   /// Current winning leaf (flat engine: argmin; tree engine: tree_[0]).
   size_t Winner() const;
-  /// Advances leaf \p w by \p n events and refreshes its head/tournament.
-  void Advance(size_t w, size_t n);
-  /// Smallest head event among all leaves except \p w (the gallop limit).
-  Event LimitExcluding(size_t w) const;
+  /// Advances leaf \p w by one event and refreshes its head/tournament.
+  void Advance(size_t w);
 
   std::vector<std::vector<Event>> runs_;
   std::vector<size_t> pos_;    // cursor per run
@@ -78,16 +66,29 @@ class LoserTreeMerger {
 std::vector<Event> MergeSortedRuns(std::vector<std::vector<Event>> runs);
 
 /// \brief Picks the events at the given 1-based global \p ranks across the
-/// pre-sorted \p runs without materializing the merged sequence.
+/// pre-sorted \p runs without merging them.
 ///
-/// Advances the tournament only up to the highest requested rank, galloping
-/// over the gaps between ranks (`LoserTreeMerger::Skip`): O(r_max · log k)
-/// comparisons worst case, far fewer for sparse ranks, and O(1) extra
-/// memory beyond the runs themselves, versus `MergeSortedRuns`'s full
-/// O(n)-event allocation — the difference the root's calculation step runs
-/// on. Ranks may repeat and arrive in any order; the result vector is
-/// parallel to \p ranks. Fails with `InvalidArgument` when a rank falls
-/// outside [1, total events].
+/// Each distinct rank k is found by a pivot search that counts instead of
+/// merging. Every non-empty run keeps a live range `[lo, hi)`. A step takes
+/// as pivot the weighted median of the live ranges' midpoints (weight =
+/// range length) and counts, per run, the events below and at the pivot
+/// with `lower_bound`/`upper_bound`. If k falls among the events equal to
+/// the pivot, the pivot is the answer: equal events are the same tuple, so
+/// ties and duplicated events are exact. Otherwise every range is cut to
+/// the side that holds k (k drops by the count cut off below) and emptied
+/// runs leave the search. At least half the live weight has its midpoint
+/// on each side of the pivot, so a step discards at least a quarter of the
+/// live events: O(log n) steps of O(m · log n) comparisons for m runs and n
+/// events, O(m · log² n) in all. Once the live events fit in one entry per
+/// run they are selected directly (`nth_element`), and a lone live run is
+/// indexed.
+///
+/// Each run must be sorted by the global event order. Ranks may repeat and
+/// arrive in any order; the result vector is parallel to \p ranks. Besides
+/// the result, the call allocates three buffers of at most one entry per
+/// rank or run. Fails with `InvalidArgument` when a rank falls outside
+/// [1, total events], or when a step finds a run out of order (not every
+/// unsorted input is detected, but none makes the search loop).
 Result<std::vector<Event>> SelectRanksFromRuns(
     std::vector<std::vector<Event>> runs, const std::vector<uint64_t>& ranks);
 

@@ -1317,7 +1317,7 @@ void TcpTransport::TryWrite(Conn* conn) {
   }
   if (conn->want_write) {
     conn->want_write = false;
-    loop_.Modify(conn->fd, draining_ ? 0 : EPOLLIN);
+    loop_.Modify(conn->fd, draining_ ? 0u : static_cast<uint32_t>(EPOLLIN));
   }
   if (draining_ && conn->wq.empty() && !conn->flushed) {
     // Every session routed here must be closed and drained before the
@@ -1421,7 +1421,7 @@ void TcpTransport::BeginDrain() {
     if (c->registered) {
       // Stop delivering inbound frames (the old reader threads exited at the
       // stop flag); keep the write side open to flush.
-      loop_.Modify(c->fd, c->want_write ? EPOLLOUT : 0);
+      loop_.Modify(c->fd, c->want_write ? static_cast<uint32_t>(EPOLLOUT) : 0u);
       DrainConnOutbox(c);
       if (!c->flushed) TryWrite(c);
     } else {

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <string>
 
 #include "common/rng.h"
 #include "stream/merge.h"
@@ -256,30 +258,6 @@ TEST(LoserTree, DuplicateEventsAcrossRunsMatchSortOracle) {
   }
 }
 
-TEST(LoserTree, SkipMatchesRepeatedNext) {
-  Rng rng(5150);
-  for (size_t num_runs : {1u, 3u, 9u}) {  // covers flat and tree engines
-    std::vector<std::vector<Event>> runs;
-    for (uint32_t n = 0; n < num_runs; ++n) {
-      runs.push_back(RandomSortedRun(&rng, n, 120));
-    }
-    auto runs_copy = runs;
-    LoserTreeMerger stepper(std::move(runs_copy));
-    LoserTreeMerger skipper(std::move(runs));
-    uint64_t left = stepper.remaining();
-    while (left > 0) {
-      const uint64_t gap =
-          std::min<uint64_t>(left - 1, static_cast<uint64_t>(rng.UniformInt(0, 17)));
-      for (uint64_t i = 0; i < gap; ++i) stepper.Next();
-      skipper.Skip(gap);
-      ASSERT_EQ(stepper.remaining(), skipper.remaining());
-      ASSERT_EQ(stepper.Next(), skipper.Next());
-      left -= gap + 1;
-    }
-    EXPECT_FALSE(skipper.HasNext());
-  }
-}
-
 /// Oracle for SelectRanksFromRuns: materialize the full merge and index.
 std::vector<Event> SelectByFullMerge(std::vector<std::vector<Event>> runs,
                                      const std::vector<uint64_t>& ranks) {
@@ -366,6 +344,177 @@ TEST(SelectRanks, EmptyRunsAmongRealOnes) {
   EXPECT_EQ((*picked)[0].value, 10);
   EXPECT_EQ((*picked)[1].value, 20);
   EXPECT_EQ((*picked)[2].value, 30);
+}
+
+// Property tests for the pivot search behind SelectRanksFromRuns, each
+// against a plain std::sort of every event as the oracle.
+
+std::vector<Event> SortedUnion(const std::vector<std::vector<Event>>& runs) {
+  std::vector<Event> all;
+  for (const auto& run : runs) all.insert(all.end(), run.begin(), run.end());
+  std::sort(all.begin(), all.end());
+  return all;
+}
+
+void ExpectMatchesSortOracle(const std::vector<std::vector<Event>>& runs,
+                             const std::vector<uint64_t>& ranks,
+                             const std::string& label) {
+  const std::vector<Event> all = SortedUnion(runs);
+  auto picked = SelectRanksFromRuns(runs, ranks);
+  ASSERT_TRUE(picked.ok()) << label << ": " << picked.status();
+  ASSERT_EQ(picked->size(), ranks.size()) << label;
+  for (size_t i = 0; i < ranks.size(); ++i) {
+    EXPECT_EQ((*picked)[i], all[ranks[i] - 1]) << label << " rank " << ranks[i];
+  }
+}
+
+std::vector<uint64_t> EveryRank(uint64_t total) {
+  std::vector<uint64_t> ranks(total);
+  for (uint64_t r = 1; r <= total; ++r) ranks[r - 1] = r;
+  return ranks;
+}
+
+/// Ranks 1 and n, the p50 and p99 ranks, and \p extra random ranks.
+std::vector<uint64_t> EndsQuantilesAndRandom(Rng* rng, uint64_t total,
+                                             size_t extra) {
+  std::vector<uint64_t> ranks = {1, total, QuantileRank(0.5, total),
+                                 QuantileRank(0.99, total)};
+  for (size_t i = 0; i < extra; ++i) {
+    ranks.push_back(static_cast<uint64_t>(
+        rng->UniformInt(1, static_cast<int64_t>(total))));
+  }
+  return ranks;
+}
+
+TEST(SelectRanks, TiesAcrossRunsMatchSortOracle) {
+  // Few distinct values, so most events tie on value with events of other
+  // runs and are ordered only by (timestamp, node, seq).
+  Rng rng(31);
+  for (int trial = 0; trial < 30; ++trial) {
+    const size_t num_runs = static_cast<size_t>(rng.UniformInt(2, 20));
+    std::vector<std::vector<Event>> runs(num_runs);
+    for (size_t n = 0; n < num_runs; ++n) {
+      const size_t len = static_cast<size_t>(rng.UniformInt(1, 80));
+      for (uint32_t i = 0; i < len; ++i) {
+        runs[n].push_back(Event{static_cast<double>(rng.UniformInt(0, 3)),
+                                static_cast<TimestampUs>(rng.UniformInt(0, 5)),
+                                static_cast<NodeId>(n), i});
+      }
+      std::sort(runs[n].begin(), runs[n].end());
+    }
+    ExpectMatchesSortOracle(runs, EveryRank(SortedUnion(runs).size()),
+                            "trial " + std::to_string(trial));
+  }
+}
+
+TEST(SelectRanks, AllValuesEqualMatchSortOracle) {
+  std::vector<std::vector<Event>> runs(7);
+  for (uint32_t n = 0; n < runs.size(); ++n) {
+    for (uint32_t i = 0; i < 30 + 11 * n; ++i) {
+      runs[n].push_back(Event{42.0, static_cast<TimestampUs>(i % 4), n, i});
+    }
+    std::sort(runs[n].begin(), runs[n].end());
+  }
+  ExpectMatchesSortOracle(runs, EveryRank(SortedUnion(runs).size()), "equal");
+}
+
+TEST(SelectRanks, MirroredDuplicateEventsMatchSortOracle) {
+  // The same event tuples in several runs at once: the equal stretch around
+  // a pivot then spans runs, and every rank inside it is the pivot.
+  Rng rng(99);
+  for (int trial = 0; trial < 30; ++trial) {
+    const size_t num_runs = static_cast<size_t>(rng.UniformInt(2, 10));
+    std::vector<Event> base;
+    const size_t len = static_cast<size_t>(rng.UniformInt(1, 60));
+    for (uint32_t i = 0; i < len; ++i) {
+      base.push_back(Event{static_cast<double>(rng.UniformInt(0, 9)), 0, 0, i % 3});
+    }
+    std::vector<std::vector<Event>> runs(num_runs);
+    for (auto& run : runs) {
+      for (const Event& e : base) {
+        if (rng.UniformInt(0, 2) != 0) run.push_back(e);
+      }
+      std::sort(run.begin(), run.end());
+    }
+    const uint64_t total = SortedUnion(runs).size();
+    if (total == 0) continue;
+    ExpectMatchesSortOracle(runs, EveryRank(total),
+                            "trial " + std::to_string(trial));
+  }
+}
+
+TEST(SelectRanks, EmptyRunsBetweenNonEmptyOnesMatchSortOracle) {
+  Rng rng(64);
+  std::vector<std::vector<Event>> runs(12);
+  for (uint32_t n = 0; n < runs.size(); n += 3) {
+    runs[n] = RandomSortedRun(&rng, n, 25 + n);
+  }
+  ExpectMatchesSortOracle(runs, EveryRank(SortedUnion(runs).size()), "gaps");
+}
+
+TEST(SelectRanks, SingleRunEveryRank) {
+  Rng rng(8);
+  std::vector<std::vector<Event>> runs = {RandomSortedRun(&rng, 3, 257)};
+  ExpectMatchesSortOracle(runs, EveryRank(257), "single");
+}
+
+TEST(SelectRanks, EndRanksAndRepeatedRanksMatchSortOracle) {
+  Rng rng(12);
+  std::vector<std::vector<Event>> runs;
+  for (uint32_t n = 0; n < 9; ++n) runs.push_back(RandomSortedRun(&rng, n, 40));
+  const uint64_t n = 9 * 40;
+  ExpectMatchesSortOracle(runs, {n, 1, n, 1, 180, 180, 181, n, 1}, "ends");
+}
+
+TEST(SelectRanks, FanInShapeMatchesSortOracle) {
+  // One 1500-event candidate slice from each of 64 locals.
+  Rng rng(2024);
+  std::vector<std::vector<Event>> runs;
+  for (uint32_t n = 0; n < 64; ++n) runs.push_back(RandomSortedRun(&rng, n, 1500));
+  ExpectMatchesSortOracle(runs, EndsQuantilesAndRandom(&rng, 64 * 1500, 60),
+                          "64x1500");
+}
+
+TEST(SelectRanks, ManyTinyRunsMatchSortOracle) {
+  // One event from each of 1000 locals.
+  Rng rng(1000);
+  std::vector<std::vector<Event>> runs;
+  for (uint32_t n = 0; n < 1000; ++n) runs.push_back(RandomSortedRun(&rng, n, 1));
+  ExpectMatchesSortOracle(runs, EveryRank(1000), "1000x1");
+}
+
+TEST(SelectRanks, UnsortedRunsFailInsteadOfLooping) {
+  // The first pivot is 9 (midpoint of the longer run); the binary search in
+  // the unsorted run then counts every live event below it, so a cut would
+  // discard nothing.
+  std::vector<std::vector<Event>> runs = {
+      {Event{1, 0, 0, 0}, Event{9, 0, 0, 1}, Event{2, 0, 0, 2}, Event{3, 0, 0, 3}},
+      {Event{0, 0, 1, 0}, Event{0.5, 0, 1, 1}}};
+  EXPECT_FALSE(SelectRanksFromRuns(std::move(runs), {1}).ok());
+}
+
+TEST(SelectRanks, RandomizedSweepOverRunCounts) {
+  Rng rng(4242);
+  for (size_t num_runs = 1; num_runs <= 100; ++num_runs) {
+    std::vector<std::vector<Event>> runs;
+    uint64_t total = 0;
+    for (uint32_t n = 0; n < num_runs; ++n) {
+      // Mix empty, tiny and long runs; narrow values force cross-run ties.
+      const size_t len = static_cast<size_t>(
+          rng.UniformInt(0, 3) == 0 ? 0 : rng.UniformInt(1, 200));
+      std::vector<Event> run;
+      for (uint32_t i = 0; i < len; ++i) {
+        run.push_back(Event{std::floor(rng.Uniform(0, 50)),
+                            static_cast<TimestampUs>(rng.UniformInt(0, 3)), n, i});
+      }
+      std::sort(run.begin(), run.end());
+      total += run.size();
+      runs.push_back(std::move(run));
+    }
+    if (total == 0) continue;
+    ExpectMatchesSortOracle(runs, EndsQuantilesAndRandom(&rng, total, 12),
+                            std::to_string(num_runs) + " runs");
+  }
 }
 
 }  // namespace
